@@ -4,9 +4,9 @@
 //
 // The service runs over a CCAM-S image with a deliberately small buffer
 // pool and a simulated per-read disk latency, so throughput is
-// disk-bound — exactly the regime where region batching pays: grouping
-// concurrent same-region requests onto one page pin turns their page
-// fetches into buffer hits. The offered rate is set above either mode's
+// disk-bound — exactly the regime where region batching pays: running
+// concurrent same-region requests back to back on one worker turns all
+// but the first region page fetch into buffer hits. The offered rate is set above either mode's
 // capacity, so completed-requests/second measures service capacity (the
 // admission controller sheds the rest with typed Overloaded rejections).
 //

@@ -97,22 +97,11 @@ class QuerySession : public AccessMethod {
   NetworkFile* file() const { return file_; }
 
   /// Pins one data page for the lifetime of the returned guard, charging a
-  /// pool miss to this session. The region-batched execution path pins a
-  /// batch's home page once, so every request in the batch then reads it
-  /// as a buffer hit — one fetch serving many queries while the
-  /// per-session conservation invariant still holds exactly.
+  /// pool miss to this session, so the per-session conservation invariant
+  /// still holds exactly.
   PageGuard PinDataPage(PageId id) {
     DebugCheckThread();
     return PageGuard(file_->buffer_pool(), id, &io_);
-  }
-
-  /// Multi-pin form: pins every distinct page of `ids` (the batch's region
-  /// working set) through BufferPool::FetchPages, charging misses here.
-  Status PinDataPages(const std::vector<PageId>& ids,
-                      std::vector<PageGuard>* guards) {
-    DebugCheckThread();
-    if (ctx_ != nullptr) CCAM_RETURN_NOT_OK(ctx_->Check());
-    return file_->buffer_pool()->FetchPages(ids, guards, &io_);
   }
 
   /// Attaches (or with nullptr, detaches) the lifecycle context governing

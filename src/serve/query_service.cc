@@ -1,5 +1,6 @@
 #include "src/serve/query_service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -26,6 +27,11 @@ const char* ServeOpName(ServeOp op) {
   return "unknown";
 }
 
+int QueryService::DefaultWorkers(const BufferPool& pool) {
+  return static_cast<int>(
+      std::min(pool.num_shards(), pool.MinShardCapacity()));
+}
+
 uint64_t QueryService::NowMicros() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -41,7 +47,7 @@ QueryService::QueryService(NetworkFile* file,
           options.max_queue_depth, options.max_tenant_depth,
           options.tenant_rate, options.tenant_burst}) {
   int n = options_.num_workers;
-  if (n <= 0) n = static_cast<int>(file_->buffer_pool()->num_shards());
+  if (n <= 0) n = DefaultWorkers(*file_->buffer_pool());
   StartWorkers(n);
 }
 
@@ -55,11 +61,11 @@ QueryService::QueryService(SnapshotManager* manager,
           options.tenant_rate, options.tenant_burst}) {
   int n = options_.num_workers;
   if (n <= 0) {
-    // Same affinity grain as file mode: one worker per data-pool shard of
-    // the (current) version. A throwaway probe session reads the count —
-    // it lives and dies on this constructor thread.
+    // Same rule as file mode, against the (current) version's pool. A
+    // throwaway probe session reads it — it lives and dies on this
+    // constructor thread.
     auto probe = manager_->OpenSession();
-    n = static_cast<int>(probe->buffer_pool()->num_shards());
+    n = DefaultWorkers(*probe->buffer_pool());
   }
   StartWorkers(n);
 }
@@ -432,25 +438,6 @@ void QueryService::ExecuteBatch(Worker* worker,
     if (batch->empty()) return;
   }
 
-  // Pin the batch's region page once through the worker's session: the one
-  // fetch (charged to this session iff it misses the shared pool) then
-  // serves every request of the batch as a buffer hit.
-  std::vector<PageGuard> pins;
-  if (options_.region_batching && batch->front().region != kInvalidPageId) {
-    // In snapshot mode the region was stamped against the version current
-    // at submit time; after a swap the page id may be gone from this
-    // worker's version, in which case the pin simply fails — batching
-    // affinity degrades for that batch, results are untouched. A
-    // quarantined or corrupt region page also fails the pin; the requests
-    // still execute and surface their own typed statuses.
-    if (worker->snap_session != nullptr) {
-      (void)worker->snap_session->PinDataPages({batch->front().region},
-                                               &pins);
-    } else {
-      (void)worker->session->PinDataPages({batch->front().region}, &pins);
-    }
-  }
-
   const size_t n = batch->size();
   std::vector<ServeResponse> responses(n);
   AccessMethod* am = SessionOf(worker);
@@ -522,8 +509,6 @@ void QueryService::ExecuteBatch(Worker* worker,
       breaker_->OnResult(responses[i].status, now);
     }
   }
-
-  pins.clear();  // unpin before fulfilling: clients may re-query promptly
 
   const uint64_t end_us = NowMicros();
   for (size_t i = 0; i < n; ++i) {

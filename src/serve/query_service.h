@@ -27,7 +27,11 @@ namespace serve {
 struct QueryServiceOptions {
   /// Worker threads, each owning one QuerySession. 0 = the data buffer
   /// pool's shard count (one worker per pool shard, the natural affinity
-  /// grain), floored at 1.
+  /// grain), capped at the frames of its smallest shard and floored at 1.
+  /// An explicit count must not exceed BufferPool::MinShardCapacity():
+  /// each worker holds at most one pinned frame at a time, so only then
+  /// does every shard keep an evictable frame — above it, a fetch can fail
+  /// with NoSpace once every frame of a shard is pinned.
   int num_workers = 0;
   /// Admission control (see AdmissionController::Options).
   size_t max_queue_depth = 1024;
@@ -37,7 +41,8 @@ struct QueryServiceOptions {
   /// DRR quantum: requests one tenant may start per scheduling turn.
   uint32_t drr_quantum = 8;
   /// Region batching: the largest number of same-region requests one
-  /// worker executes off a single page pin. 1 disables grouping.
+  /// worker executes back to back, so the first request's fetch of the
+  /// region page leaves it buffered for the rest. 1 disables grouping.
   size_t max_batch = 16;
   /// How long a worker may hold an underfull batch open waiting for more
   /// same-region arrivals. 0 (the default) makes batching purely
@@ -85,10 +90,12 @@ struct QueryServiceOptions {
 /// it with the worker that owns the region (region % workers, mirroring
 /// the buffer pool's page->shard map). Each worker drains its own
 /// deficit-round-robin scheduler: it pops the next tenant's request plus
-/// every queued request touching the same region (up to max_batch), pins
-/// the region's page once through its session, and executes the batch
-/// through the drivers' batch entry points — so the page fetch that the
-/// first request pays is a buffer hit for the rest.
+/// every queued request touching the same region (up to max_batch) and
+/// executes the batch through the drivers' batch entry points — so the
+/// region page fetch that the first request pays is a buffer hit for the
+/// rest. The worker pins nothing across requests: the operators' scoped
+/// PageGuards keep it at one pinned frame at a time, which is what the
+/// num_workers bound relies on.
 ///
 /// Accounting: all reads go through the workers' QuerySessions, so the
 /// paper's conservation invariant extends to the whole service — the sum
@@ -105,14 +112,14 @@ class QueryService {
 
   /// Serves a snapshot store instead of a single file: each worker owns a
   /// SnapshotSession pinned to one published version, refreshed only at
-  /// batch boundaries — an in-flight batch keeps its version (and its page
-  /// pins) across a concurrent swap, which is exactly the session-drain
-  /// contract the reorganizer's retirement waits on. Regions are stamped
-  /// via SnapshotManager::RegionOf against the version current at submit
-  /// time; a request executed after a swap may pin a page id from the
-  /// older layout, which degrades only batching affinity, never results.
-  /// Mutations and background reorganizations may run concurrently with
-  /// serving.
+  /// batch boundaries — an in-flight batch keeps its version (and the
+  /// pages its operators pin) across a concurrent swap, which is exactly
+  /// the session-drain contract the reorganizer's retirement waits on.
+  /// Regions are stamped via SnapshotManager::RegionOf against the version
+  /// current at submit time; after a swap a region may name a page id of
+  /// the older layout, which degrades only batching affinity, never
+  /// results. Mutations and background reorganizations may run
+  /// concurrently with serving.
   QueryService(SnapshotManager* manager, const QueryServiceOptions& options);
 
   ~QueryService();
@@ -183,6 +190,8 @@ class QueryService {
     Random rng;
   };
 
+  /// Worker count for num_workers = 0 over the data pool `pool`.
+  static int DefaultWorkers(const BufferPool& pool);
   void StartWorkers(int n);
   void WorkerLoop(Worker* worker);
   void ExecuteBatch(Worker* worker, std::vector<QueuedRequest>* batch);

@@ -82,6 +82,9 @@ class BufferPool {
 
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
+  /// Frames of the smallest shard: the most threads that may each hold one
+  /// pin at a time while every shard keeps an evictable frame.
+  size_t MinShardCapacity() const { return capacity_ / shards_.size(); }
   size_t NumBuffered() const;
 
   /// Returns the frame holding page `id`, reading it from disk on a miss,
@@ -94,17 +97,6 @@ class BufferPool {
 
   /// Releases one pin; `dirty` marks the frame as modified.
   Status UnpinPage(PageId id, bool dirty);
-
-  /// Multi-pin batch fetch: pins every distinct page of `ids` (duplicates
-  /// collapse to one pin) and appends one guard per pinned page to
-  /// `guards`. Pages are fetched in ascending id order so a batch touches
-  /// each shard in a deterministic sequence. Misses are charged to `io`
-  /// like PageGuard's. All-or-nothing: on the first failure every page
-  /// pinned by this call is released and the error is returned — the
-  /// region-batched execution path either holds its whole working set or
-  /// none of it, so a failed batch never leaks pins into the pool.
-  Status FetchPages(const std::vector<PageId>& ids,
-                    std::vector<PageGuard>* guards, IoStats* io = nullptr);
 
   /// Allocates a fresh page on disk and installs an empty pinned frame for
   /// it (no disk read is charged; the caller formats the frame).

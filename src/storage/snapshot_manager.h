@@ -413,17 +413,11 @@ class SnapshotSession : public AccessMethod {
 
   MetricsRegistry* metrics() const override { return manager_->metrics(); }
 
-  /// Page pinning for the serving layer's region batching, identical to
-  /// QuerySession::PinDataPage(s) but against the pinned version's pool.
+  /// Page pinning identical to QuerySession::PinDataPage but against the
+  /// pinned version's pool.
   PageGuard PinDataPage(PageId id) {
     DebugCheckThread();
     return PageGuard(version_->file()->buffer_pool(), id, &io_);
-  }
-  Status PinDataPages(const std::vector<PageId>& ids,
-                      std::vector<PageGuard>* guards) {
-    DebugCheckThread();
-    if (ctx_ != nullptr) CCAM_RETURN_NOT_OK(ctx_->Check());
-    return version_->file()->buffer_pool()->FetchPages(ids, guards, &io_);
   }
 
   /// Lifecycle context for reads through this session, exactly like

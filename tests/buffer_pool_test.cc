@@ -340,6 +340,12 @@ TEST(ShardedBufferPoolTest, ShardCountClampedToCapacity) {
   EXPECT_EQ(pool.num_shards(), 2u);
 }
 
+TEST(ShardedBufferPoolTest, MinShardCapacityIsTheSmallestShard) {
+  DiskManager disk(64);
+  BufferPool pool(&disk, 17, ReplacementPolicy::kLru, 2);  // 9 + 8 frames
+  EXPECT_EQ(pool.MinShardCapacity(), 8u);
+}
+
 TEST(ShardedBufferPoolTest, TrackedFetchReportsMiss) {
   DiskManager disk(64);
   BufferPool pool(&disk, 4);

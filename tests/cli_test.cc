@@ -149,6 +149,15 @@ TEST_F(CliTest, ServeUnbatchedStillConserves) {
       << res.output;
 }
 
+TEST_F(CliTest, ServeRejectsMoreWorkersThanShardFrames) {
+  // The default 8-page pool is one 8-frame shard: a ninth worker could
+  // find every frame pinned.
+  auto res = RunCli("serve " + Common() + " --workers 9");
+  EXPECT_EQ(res.exit_code, 2) << res.output;
+  EXPECT_NE(res.output.find("smallest buffer-pool shard"), std::string::npos)
+      << res.output;
+}
+
 TEST_F(CliTest, UsageOnBadCommand) {
   auto res = RunCli("frobnicate");
   EXPECT_EQ(res.exit_code, 2);

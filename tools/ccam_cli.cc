@@ -17,7 +17,9 @@
 //                     [--theta 0.9] [--rate-limit 0] [--no-batching]
 //                     (open-loop load against the in-process QueryService;
 //                     reports qps, latency percentiles, reject rate,
-//                     batch occupancy, and the conservation check)
+//                     batch occupancy, and the conservation check;
+//                     --workers above the frames of the smallest buffer
+//                     pool shard exits 2)
 //   ccam_cli shard    --net map.net [--shards 4] [--routes 64]
 //                     (coarse-partitions the network into N shard files,
 //                     evaluates sample routes sharded vs unsharded, and
@@ -307,8 +309,21 @@ int CmdServe(const Args& args) {
     return 1;
   }
 
+  // Each worker holds at most one pinned frame, so the workers must not
+  // outnumber the frames of the smallest data-pool shard; above that a
+  // fetch can fail with NoSpace.
+  const long workers = args.GetInt("workers", 8);
+  const size_t max_workers = am->buffer_pool()->MinShardCapacity();
+  if (workers > 0 && static_cast<size_t>(workers) > max_workers) {
+    std::fprintf(stderr,
+                 "serve: --workers %ld exceeds %zu, the frames of the "
+                 "smallest buffer-pool shard (one pinned frame per "
+                 "worker); raise --buffer-pages or lower --workers\n",
+                 workers, max_workers);
+    return 2;
+  }
   serve::QueryServiceOptions options;
-  options.num_workers = static_cast<int>(args.GetInt("workers", 8));
+  options.num_workers = static_cast<int>(workers);
   options.max_queue_depth =
       static_cast<size_t>(args.GetInt("queue-depth", 1024));
   options.tenant_rate = args.GetDouble("rate-limit", 0.0);
