@@ -1,7 +1,7 @@
 // Concurrent read-path throughput: route evaluation and A* over one
 // shared CCAM file from multiple query threads.
 //
-// Each thread owns a QuerySession (per-stream IoStats) over the same
+// Each thread owns a ReadSession (per-stream IoStats) over the same
 // NetworkFile and buffer pool; the pool is sharded and misses overlap,
 // so queries scale with the thread count until the pool's misses
 // saturate the (simulated) disk. The disk models a fixed per-read
@@ -23,7 +23,7 @@
 
 #include "bench/bench_util.h"
 #include "src/common/thread_pool.h"
-#include "src/core/query_session.h"
+#include "src/core/read_session.h"
 #include "src/graph/route.h"
 #include "src/query/route_eval.h"
 #include "src/query/search.h"
@@ -74,13 +74,13 @@ double Percentile(std::vector<double>* v, double p) {
   return (*v)[idx];
 }
 
-/// Runs `queries` query thunks on `threads` threads, one QuerySession per
+/// Runs `queries` query thunks on `threads` threads, one ReadSession per
 /// thread, and gathers qps / latency percentiles / per-session accesses.
 /// `run` is invoked as run(session, query_index) and returns true on
 /// success.
 template <typename Fn>
 SweepPoint RunSweep(NetworkFile* file, int threads, int queries, Fn run) {
-  std::vector<std::unique_ptr<QuerySession>> sessions;
+  std::vector<std::unique_ptr<ReadSession>> sessions;
   std::vector<std::vector<double>> latencies(threads);
   for (int t = 0; t < threads; ++t) sessions.push_back(file->OpenSession());
 
@@ -89,7 +89,7 @@ SweepPoint RunSweep(NetworkFile* file, int threads, int queries, Fn run) {
   {
     ThreadPool pool(threads);
     for (int t = 0; t < threads; ++t) {
-      QuerySession* session = sessions[t].get();
+      ReadSession* session = sessions[t].get();
       std::vector<double>* lat = &latencies[t];
       pool.Submit([=] {
         // Round-robin assignment: thread t runs queries t, t+T, t+2T, ...
@@ -199,7 +199,7 @@ int Run() {
     double qps1 = 0.0;
     for (int threads : thread_counts) {
       SweepPoint p = RunSweep(
-          am.get(), threads, kRoutes, [&](QuerySession* s, int q) {
+          am.get(), threads, kRoutes, [&](ReadSession* s, int q) {
             return EvaluateRoute(s, routes[q]).ok();
           });
       if (threads == 1) qps1 = p.qps;
@@ -240,7 +240,7 @@ int Run() {
     }
     for (int threads : thread_counts) {
       SweepPoint p = RunSweep(
-          am.get(), threads, kAStarQueries, [&](QuerySession* s, int q) {
+          am.get(), threads, kAStarQueries, [&](ReadSession* s, int q) {
             const Route& r = routes[q % routes.size()];
             return ShortestPathAStar(s, r.nodes.front(), r.nodes.back()).ok();
           });

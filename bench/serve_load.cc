@@ -13,7 +13,8 @@
 // Three phases, all appended to BENCH_serve_load.json:
 //   * saturation: batched vs unbatched qps / latency / disk reads;
 //   * low_load:   offered rate far below capacity — batching must not
-//     hurt p99 when there is nothing to batch (bounded-window contract);
+//     hurt p99 when there is nothing to batch (bounded-window contract;
+//     median over kLowLoadReps alternating runs of each mode);
 //   * equivalence: every pooled request answered by the batched service
 //     must match a serial single-session oracle field for field.
 //
@@ -31,6 +32,7 @@
 // rate with every request carrying submit+budget, reporting the miss
 // rate — off by default so the standard artifact stays bit-identical).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -38,7 +40,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/query_session.h"
+#include "src/core/read_session.h"
 #include "src/query/aggregate.h"
 #include "src/query/hierarchy.h"
 #include "src/query/route_eval.h"
@@ -53,6 +55,9 @@ namespace {
 const char* kImagePath = "bench_serve_load.img";
 constexpr size_t kPoolPages = 32;
 constexpr int kWorkers = 8;
+/// Alternating repetitions of each low-load mode; the p99 gate compares
+/// their medians.
+constexpr int kLowLoadReps = 5;
 
 uint64_t EnvU64(const char* name, uint64_t fallback) {
   if (const char* env = std::getenv(name)) {
@@ -95,8 +100,17 @@ serve::LoadReport RunPhase(NetworkFile* file,
   return report;
 }
 
+/// The run holding the median p99 of `runs` (odd count: the middle one).
+serve::LoadReport MedianP99(std::vector<serve::LoadReport> runs) {
+  std::sort(runs.begin(), runs.end(),
+            [](const serve::LoadReport& a, const serve::LoadReport& b) {
+              return a.p99_us < b.p99_us;
+            });
+  return runs[runs.size() / 2];
+}
+
 /// Serial oracle: answers `request` on a plain single-threaded session.
-serve::ServeResponse Oracle(QuerySession* session,
+serve::ServeResponse Oracle(ReadSession* session,
                             const serve::ServeRequest& request) {
   serve::ServeResponse response;
   switch (request.op) {
@@ -282,10 +296,20 @@ int Run() {
   emit("saturation", "batched", batched);
 
   // --- Low load: batching must not tax p99 when idle ---------------------
+  // One low-load p99 rests on a few hundred samples and swings 2-3x from
+  // run to run on a shared host, so the modes alternate over
+  // kLowLoadReps repetitions and the gate compares their medians. The
+  // repetition holding each mode's median p99 is the one reported.
   serve::LoadgenOptions low = load;
   low.offered_qps = 200.0;
-  serve::LoadReport low_unbatched = RunPhase(file.get(), pool, false, low);
-  serve::LoadReport low_batched = RunPhase(file.get(), pool, true, low);
+  std::vector<serve::LoadReport> low_runs[2];  // [0] unbatched, [1] batched
+  for (int rep = 0; rep < kLowLoadReps; ++rep) {
+    for (bool mode : {false, true}) {
+      low_runs[mode].push_back(RunPhase(file.get(), pool, mode, low));
+    }
+  }
+  const serve::LoadReport low_unbatched = MedianP99(low_runs[0]);
+  const serve::LoadReport low_batched = MedianP99(low_runs[1]);
   emit("low_load", "unbatched", low_unbatched);
   emit("low_load", "batched", low_batched);
 
@@ -333,8 +357,9 @@ int Run() {
       unbatched_rpq > 0 ? 1.0 - batched_rpq / unbatched_rpq : 0.0;
   std::printf(
       "\nbatched vs unbatched: %.2fx qps, %.1f%% fewer disk reads per "
-      "query; low-load p99 %llu us (batched) vs %llu us (unbatched)\n",
-      speedup, read_reduction * 100.0,
+      "query; low-load median p99 over %d runs %llu us (batched) vs %llu "
+      "us (unbatched)\n",
+      speedup, read_reduction * 100.0, kLowLoadReps,
       static_cast<unsigned long long>(low_batched.p99_us),
       static_cast<unsigned long long>(low_unbatched.p99_us));
   json.AddRecord("summary",
@@ -357,8 +382,11 @@ int Run() {
                  mismatches);
     ++failures;
   }
-  for (const serve::LoadReport* r :
-       {&unbatched, &batched, &low_unbatched, &low_batched}) {
+  std::vector<const serve::LoadReport*> phases = {&unbatched, &batched};
+  for (const auto& runs : low_runs) {
+    for (const serve::LoadReport& r : runs) phases.push_back(&r);
+  }
+  for (const serve::LoadReport* r : phases) {
     if (r->qps <= 0.0 || r->completed == 0) {
       std::fprintf(stderr, "serve_load: FAIL zero throughput in a phase\n");
       ++failures;
@@ -380,14 +408,15 @@ int Run() {
                    speedup, read_reduction * 100.0);
       ++failures;
     }
-    // Bounded-window contract: at low load batching may not tax p99 by
-    // more than 10% (plus a small absolute floor against timer jitter).
+    // Bounded-window contract: at low load batching may not tax the
+    // median p99 by more than 10% (plus a small absolute floor against
+    // timer jitter).
     const double p99_limit =
         static_cast<double>(low_unbatched.p99_us) * 1.10 + 200.0;
     if (static_cast<double>(low_batched.p99_us) > p99_limit) {
       std::fprintf(stderr,
-                   "serve_load: FAIL low-load p99 (batched %llu us > limit "
-                   "%.0f us)\n",
+                   "serve_load: FAIL low-load median p99 (batched %llu us > "
+                   "limit %.0f us)\n",
                    static_cast<unsigned long long>(low_batched.p99_us),
                    p99_limit);
       ++failures;

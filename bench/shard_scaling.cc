@@ -24,7 +24,7 @@
 
 #include "bench/bench_util.h"
 #include "src/core/ccam.h"
-#include "src/core/query_session.h"
+#include "src/core/read_session.h"
 #include "src/graph/generator.h"
 #include "src/graph/route.h"
 #include "src/query/route_eval.h"

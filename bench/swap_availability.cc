@@ -72,7 +72,7 @@ double Percentile(std::vector<double>* lat, double p) {
 PhaseResult RunReader(SnapshotManager* store, std::atomic<bool>* stop,
                       uint64_t min_ops, uint64_t seed) {
   PhaseResult r;
-  std::unique_ptr<SnapshotSession> session = store->OpenSession();
+  std::unique_ptr<ReadSession> session = store->OpenSession();
   std::vector<NodeId> ids = session->LiveNodeIds();
   Random rng(seed);
   std::vector<double> lat;

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Single-entry CI gate: runs the three acceptance stages in sequence and
+# Single-entry CI gate: runs the acceptance stages in sequence and
 # prints a summary table. Any stage failing makes the script exit nonzero,
 # but later stages still run so one CI invocation reports everything.
 #
@@ -33,7 +33,13 @@
 #   8. faults    — scripts/check_faults.sh: fault-injection + crash
 #                  consistency sweeps, differential oracle, strict durable
 #                  crashsim with JSON gating
-#   9. tsan      — scripts/check_tsan.sh: concurrency suites under
+#   9. bench     — perfbench/run.py: builds the standalone benchmark program
+#                  (it compiles src/ on its own, so this is the only stage
+#                  that compiles perfbench/) and runs each of the four
+#                  workloads for one second, plus one traced run; every
+#                  workload checks its answers against the benchmark's own
+#                  oracle and exits nonzero on a mismatch
+#  10. tsan      — scripts/check_tsan.sh: concurrency suites under
 #                  ThreadSanitizer (separate build directory)
 #
 # Usage: scripts/ci.sh [build-dir] [tsan-build-dir]
@@ -103,6 +109,16 @@ swap_stage() {
     "$BUILD/bench/swap_availability"
 }
 
+bench_stage() {
+  local w
+  for w in route_agg path_search update_mix serve_mix; do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 \
+      --trace 0 || return 1
+  done
+  python3 perfbench/run.py --workload path_search --seed 1 --seconds 1 \
+    --trace 1
+}
+
 run_stage "tier-1 (ctest)" tier1
 run_stage "metrics (tools/stats)" metrics
 run_stage "perf (check_perf.sh --smoke)" scripts/check_perf.sh --smoke "$BUILD"
@@ -111,6 +127,7 @@ run_stage "swap (hammer + mid-swap crashsim)" swap_stage
 run_stage "shard (oracle + hammer + bench)" shard_stage
 run_stage "chaos (check_chaos.sh)" scripts/check_chaos.sh "$BUILD"
 run_stage "faults (check_faults.sh)" scripts/check_faults.sh "$BUILD"
+run_stage "bench (perfbench oracles)" bench_stage
 run_stage "tsan (check_tsan.sh)" scripts/check_tsan.sh "$TSAN_BUILD"
 
 echo

@@ -11,11 +11,10 @@
 namespace ccam {
 
 /// Per-request lifecycle token: an absolute steady-clock deadline plus a
-/// cooperative cancellation flag. A RequestContext is attached to a session
-/// (QuerySession / SnapshotSession) for the duration of one request; the
-/// query operators poll `Check()` at page-I/O and settle-loop boundaries and
-/// return a typed DeadlineExceeded / Cancelled status instead of running to
-/// completion.
+/// cooperative cancellation flag. A RequestContext is attached to a
+/// ReadSession for the duration of one request; the query operators poll
+/// `Check()` at page-I/O and settle-loop boundaries and return a typed
+/// DeadlineExceeded / Cancelled status instead of running to completion.
 ///
 /// Cancellation is cooperative: `Cancel()` only raises a flag — nothing is
 /// interrupted asynchronously, so operators always unwind through their

@@ -85,18 +85,18 @@ struct AccessMethodOptions {
   uint64_t seed = 42;
 };
 
-/// Abstract access method for networks: the operation set from the paper's
-/// Section 1.2 — Create / Find / Insert / Delete plus the network-specific
-/// Get-A-successor and Get-successors that dominate the I/O of aggregate
-/// queries.
-class AccessMethod {
+/// The read side of a network access method: the three operations the
+/// paper's queries use (Section 1.2) — Find, Get-A-successor and
+/// Get-successors — plus the overlay read, the I/O counters, the node
+/// placement and the request context. Every query operator except
+/// ReplayTrace takes a NetworkReader, so it runs unchanged against a file,
+/// a ReadSession (optionally pinned to a snapshot version) or a sharded
+/// session.
+class NetworkReader {
  public:
-  virtual ~AccessMethod() = default;
+  virtual ~NetworkReader() = default;
 
   virtual std::string Name() const = 0;
-
-  /// Bulk-creates the data file from `network`.
-  virtual Status Create(const Network& network) = 0;
 
   /// Retrieves the record of a node (one data-page access unless buffered).
   virtual Result<NodeRecord> Find(NodeId id) = 0;
@@ -109,18 +109,6 @@ class AccessMethod {
   /// already-buffered successors without additional I/O.
   virtual Result<std::vector<NodeRecord>> GetSuccessors(NodeId id) = 0;
 
-  /// Inserts a new node whose record carries its adjacency lists; entries
-  /// referring to nodes not yet in the file are dropped (they are patched
-  /// back when those nodes arrive). Updates the neighbors' lists.
-  virtual Status InsertNode(const NodeRecord& record, ReorgPolicy policy) = 0;
-
-  /// Deletes a node, patching the adjacency lists of its neighbors.
-  virtual Status DeleteNode(NodeId id, ReorgPolicy policy) = 0;
-
-  virtual Status InsertEdge(NodeId u, NodeId v, float cost,
-                            ReorgPolicy policy) = 0;
-  virtual Status DeleteEdge(NodeId u, NodeId v, ReorgPolicy policy) = 0;
-
   /// Data-page I/O counters (the paper's metric). Index I/O is separate.
   /// Returned by value: the counters are atomics, snapshotted on read.
   virtual IoStats DataIoStats() const = 0;
@@ -129,22 +117,12 @@ class AccessMethod {
   /// Current node -> data page assignment (the CRR is computed on this).
   virtual const NodePageMap& PageMap() const = 0;
 
-  /// The data buffer pool (experiments vary its capacity and reset it).
-  virtual BufferPool* buffer_pool() = 0;
-
-  /// True if the last update operation caused a page split or merge.
-  /// Table 5's harness uses this to "ignore page underflows and overflows
-  /// ... to filter out the effect of reorganization policies".
-  virtual bool LastOpChangedStructure() const = 0;
-
-  /// Number of live data pages.
-  virtual size_t NumDataPages() const = 0;
-
   /// Node-ids visible to queries, ascending. The default derives them from
   /// PageMap(), which is exact for the paged files (the map is the live
-  /// set); snapshot sessions override to merge their mutation overlay.
-  /// Query operators that enumerate "all nodes" (component sweeps, spatial
-  /// index builds) must use this instead of walking PageMap() directly.
+  /// set); snapshot-pinned sessions override to merge their mutation
+  /// overlay. Query operators that enumerate "all nodes" (component
+  /// sweeps, spatial index builds) must use this instead of walking
+  /// PageMap() directly.
   virtual std::vector<NodeId> LiveNodeIds() const {
     std::vector<NodeId> ids;
     ids.reserve(PageMap().size());
@@ -156,22 +134,22 @@ class AccessMethod {
   /// Number of node-ids LiveNodeIds() would return (sizing hint).
   virtual size_t NumLiveNodes() const { return PageMap().size(); }
 
-  /// The metrics registry observing this access method, or nullptr when
+  /// The metrics registry observing this reader, or nullptr when
   /// observability is detached (the default). Query operators open their
   /// "query.<op>" spans against this — a null registry makes every span
   /// inert, preserving the paper's accounting bit for bit.
   virtual MetricsRegistry* metrics() const { return nullptr; }
 
   /// The lifecycle context (deadline + cancellation token) governing the
-  /// request currently executing against this access method, or nullptr
-  /// when none is attached (the default). Query operators poll it at
-  /// page-I/O and settle-loop boundaries; a null context makes every poll
-  /// a single branch, preserving the paper's accounting bit for bit.
+  /// request currently executing against this reader, or nullptr when
+  /// none is attached (the default). Query operators poll it at page-I/O
+  /// and settle-loop boundaries; a null context makes every poll a single
+  /// branch, preserving the paper's accounting bit for bit.
   virtual RequestContext* request_context() const { return nullptr; }
 
   /// --- Contraction-hierarchy overlay --------------------------------------
   /// True when a valid hierarchy overlay is attached (built and not
-  /// invalidated by a mutation since). The default access method has none.
+  /// invalidated by a mutation since). The default reader has none.
   virtual bool HasHierarchy() const { return false; }
 
   /// Reads one node's hierarchy record (rank plus upward/downward shortcut
@@ -185,6 +163,38 @@ class AccessMethod {
   /// Overlay-page I/O counters, kept separate from DataIoStats() so the
   /// paper's data-page accounting is untouched by the overlay.
   virtual IoStats HierarchyIoStats() const { return IoStats{}; }
+};
+
+/// Abstract access method for networks: the operation set from the paper's
+/// Section 1.2 — the reads of NetworkReader plus Create, Insert and
+/// Delete, which maintain the clustering.
+class AccessMethod : public NetworkReader {
+ public:
+  /// Bulk-creates the data file from `network`.
+  virtual Status Create(const Network& network) = 0;
+
+  /// Inserts a new node whose record carries its adjacency lists; entries
+  /// referring to nodes not yet in the file are dropped (they are patched
+  /// back when those nodes arrive). Updates the neighbors' lists.
+  virtual Status InsertNode(const NodeRecord& record, ReorgPolicy policy) = 0;
+
+  /// Deletes a node, patching the adjacency lists of its neighbors.
+  virtual Status DeleteNode(NodeId id, ReorgPolicy policy) = 0;
+
+  virtual Status InsertEdge(NodeId u, NodeId v, float cost,
+                            ReorgPolicy policy) = 0;
+  virtual Status DeleteEdge(NodeId u, NodeId v, ReorgPolicy policy) = 0;
+
+  /// The data buffer pool (experiments vary its capacity and reset it).
+  virtual BufferPool* buffer_pool() = 0;
+
+  /// True if the last update operation caused a page split or merge.
+  /// Table 5's harness uses this to "ignore page underflows and overflows
+  /// ... to filter out the effect of reorganization policies".
+  virtual bool LastOpChangedStructure() const = 0;
+
+  /// Number of live data pages.
+  virtual size_t NumDataPages() const = 0;
 };
 
 }  // namespace ccam

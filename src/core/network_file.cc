@@ -6,7 +6,7 @@
 #include <string_view>
 #include <unordered_set>
 
-#include "src/core/query_session.h"
+#include "src/core/read_session.h"
 #include "src/partition/recursive_bisection.h"
 
 namespace ccam {
@@ -677,8 +677,6 @@ Status NetworkFile::MergePages(PageId p, PageId q) {
   return Reorganize({p, q});
 }
 
-Result<NodeRecord> NetworkFile::Find(NodeId id) { return ReadRecord(id); }
-
 Result<NodeRecord> NetworkFile::FindViaIndex(NodeId id) {
   if (!index_) {
     return Status::NotSupported("B+ tree index not maintained");
@@ -742,18 +740,6 @@ Status NetworkFile::BulkInsertImpl(const std::vector<NodeRecord>& records,
   return FinishUpdate();
 }
 
-Result<NodeRecord> NetworkFile::GetASuccessor(NodeId from, NodeId to) {
-  // The buffered data page containing `from` (and anything else buffered)
-  // is searched first by construction: fetching a buffered page performs
-  // no disk I/O. A miss degenerates to Find(to), per the paper.
-  (void)from;
-  return ReadRecord(to);
-}
-
-Result<std::vector<NodeRecord>> NetworkFile::GetSuccessors(NodeId id) {
-  return GetSuccessorsTracked(id, nullptr);
-}
-
 Result<std::vector<NodeRecord>> NetworkFile::GetSuccessorsTracked(
     NodeId id, IoStats* io) {
   NodeRecord rec;
@@ -781,29 +767,12 @@ Result<std::vector<NodeRecord>> NetworkFile::GetSuccessorsTracked(
   return out;
 }
 
-Result<NodeRecord> NetworkFile::SharedFind(NodeId id, IoStats* io) {
-  return ReadRecord(id, io);
+std::unique_ptr<ReadSession> NetworkFile::OpenSession() {
+  return std::make_unique<ReadSession>(this);
 }
 
-Result<NodeRecord> NetworkFile::SharedGetASuccessor(NodeId from, NodeId to,
-                                                    IoStats* io) {
-  // Same degenerate form as GetASuccessor(): the buffered page holding
-  // `from` is searched for free by construction.
-  (void)from;
-  return ReadRecord(to, io);
-}
-
-Result<std::vector<NodeRecord>> NetworkFile::SharedGetSuccessors(NodeId id,
-                                                                 IoStats* io) {
-  return GetSuccessorsTracked(id, io);
-}
-
-std::unique_ptr<QuerySession> NetworkFile::OpenSession() {
-  return std::make_unique<QuerySession>(this);
-}
-
-Result<HierarchyNodeRecord> NetworkFile::SharedHierarchyNode(NodeId id,
-                                                             IoStats* io) {
+Result<HierarchyNodeRecord> NetworkFile::ReadHierarchyNode(NodeId id,
+                                                           IoStats* io) {
   if (!HasHierarchy()) {
     return Status::NotSupported("no hierarchy overlay");
   }

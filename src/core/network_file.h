@@ -18,7 +18,7 @@
 
 namespace ccam {
 
-class QuerySession;
+class ReadSession;
 
 /// Shared mechanics of all paged network access methods: a data file of
 /// slotted pages holding variable-length node records, a data buffer pool,
@@ -35,7 +35,7 @@ class NetworkFile : public AccessMethod {
   explicit NetworkFile(const AccessMethodOptions& options);
   ~NetworkFile() override = default;
 
-  Result<NodeRecord> Find(NodeId id) override;
+  Result<NodeRecord> Find(NodeId id) override { return ReadRecord(id); }
 
   /// Find() routed through the paged B+ tree: the index descent is charged
   /// to the index disk's counters (IndexIoStats()), then one data-page
@@ -50,8 +50,15 @@ class NetworkFile : public AccessMethod {
   /// higher-order policies while reaching a comparable CRR.
   Status BulkInsert(const std::vector<NodeRecord>& records,
                     ReorgPolicy policy);
-  Result<NodeRecord> GetASuccessor(NodeId from, NodeId to) override;
-  Result<std::vector<NodeRecord>> GetSuccessors(NodeId id) override;
+  /// The buffered data page containing `from` (and anything else
+  /// buffered) is searched first by construction: fetching a buffered page
+  /// performs no disk I/O. A miss degenerates to Find(to), per the paper.
+  Result<NodeRecord> GetASuccessor(NodeId, NodeId to) override {
+    return ReadRecord(to);
+  }
+  Result<std::vector<NodeRecord>> GetSuccessors(NodeId id) override {
+    return GetSuccessorsTracked(id, nullptr);
+  }
   Status InsertNode(const NodeRecord& record, ReorgPolicy policy) override;
   Status DeleteNode(NodeId id, ReorgPolicy policy) override;
   Status InsertEdge(NodeId u, NodeId v, float cost,
@@ -186,15 +193,24 @@ class NetworkFile : public AccessMethod {
   virtual Status OpenImage(const std::string& path);
 
   /// --- Concurrent read path ----------------------------------------------
-  /// Thread-safe read operations against the shared pool. Many threads may
-  /// call these concurrently with each other (but not with any mutation:
-  /// the file keeps its single-writer discipline). When `io` is given, it
-  /// receives the calling stream's data-page reads — a fetch is charged iff
-  /// it missed the shared pool, so the per-stream counters sum exactly to
-  /// the global disk counters.
-  Result<NodeRecord> SharedFind(NodeId id, IoStats* io);
-  Result<NodeRecord> SharedGetASuccessor(NodeId from, NodeId to, IoStats* io);
-  Result<std::vector<NodeRecord>> SharedGetSuccessors(NodeId id, IoStats* io);
+  /// Thread-safe reads against the shared pool, the record source of every
+  /// ReadSession. Many threads may call these concurrently with each other
+  /// (but not with any mutation: the file keeps its single-writer
+  /// discipline). When `io` is given, it receives the calling stream's
+  /// page reads — a fetch is charged iff it missed the shared pool, so the
+  /// per-stream counters sum exactly to the global disk counters.
+  /// Get-A-successor is ReadRecord(to, io): the buffered page holding
+  /// `from` is searched for free by construction.
+  Result<NodeRecord> ReadRecord(NodeId id, IoStats* io = nullptr);
+
+  /// Get-successors with per-stream accounting; the public override
+  /// delegates here with `io` = nullptr.
+  Result<std::vector<NodeRecord>> GetSuccessorsTracked(NodeId id,
+                                                       IoStats* io);
+
+  /// Overlay read with per-stream accounting: a miss of the overlay's
+  /// pool charges one read to `io`.
+  Result<HierarchyNodeRecord> ReadHierarchyNode(NodeId id, IoStats* io);
 
   /// --- Contraction-hierarchy overlay --------------------------------------
   /// (Re)builds the overlay from the stored records: scans every data page
@@ -209,15 +225,11 @@ class NetworkFile : public AccessMethod {
     return hierarchy_ != nullptr && hierarchy_->valid();
   }
   Result<HierarchyNodeRecord> HierarchyNode(NodeId id) override {
-    return SharedHierarchyNode(id, nullptr);
+    return ReadHierarchyNode(id, nullptr);
   }
   IoStats HierarchyIoStats() const override {
     return hierarchy_ ? hierarchy_->Stats() : IoStats{};
   }
-
-  /// Thread-safe overlay read for concurrent query sessions; a pool miss
-  /// charges one read to `io`.
-  Result<HierarchyNodeRecord> SharedHierarchyNode(NodeId id, IoStats* io);
 
   /// The overlay itself (tests, benches); null until built.
   HierarchyOverlay* hierarchy() { return hierarchy_.get(); }
@@ -226,10 +238,10 @@ class NetworkFile : public AccessMethod {
   /// graph over stale records must never answer queries.
   void InvalidateHierarchyOverlay() { hierarchy_.reset(); }
 
-  /// Opens a read-only query session: an AccessMethod view over this file
-  /// with its own per-session IoStats. One session per thread; sessions
-  /// share this file's buffer pool.
-  std::unique_ptr<QuerySession> OpenSession();
+  /// Opens a read-only query session: a NetworkReader over this file with
+  /// its own per-session IoStats. One session per thread; sessions share
+  /// this file's buffer pool.
+  std::unique_ptr<ReadSession> OpenSession();
 
   /// The simulated data disk (throughput experiments configure its
   /// simulated read latency).
@@ -283,16 +295,6 @@ class NetworkFile : public AccessMethod {
   /// Contracts `network` into a fresh overlay (the no-rescan path used by
   /// create operations that still hold the logical network).
   Status BuildHierarchyOverlayFromNetwork(const Network& network);
-
-  /// Reads and decodes the record of `id` through the buffer pool. When
-  /// `io` is given, a pool miss charges one read to it (per-session
-  /// accounting).
-  Result<NodeRecord> ReadRecord(NodeId id, IoStats* io = nullptr);
-
-  /// GetSuccessors with per-stream accounting; the public override
-  /// delegates here with `io` = nullptr.
-  Result<std::vector<NodeRecord>> GetSuccessorsTracked(NodeId id,
-                                                       IoStats* io);
 
   /// Rewrites `record` in place on its page. If it no longer fits, splits
   /// the page (sets the structural-change flag).

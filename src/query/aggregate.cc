@@ -11,7 +11,7 @@
 
 namespace ccam {
 
-Result<RouteUnitAggregate> AggregateRouteUnit(AccessMethod* am,
+Result<RouteUnitAggregate> AggregateRouteUnit(NetworkReader* am,
                                               const RouteUnit& unit) {
   RouteUnitAggregate agg;
   QuerySpan span(am->metrics(), "query.aggregate");
@@ -54,18 +54,7 @@ Result<RouteUnitAggregate> AggregateRouteUnit(AccessMethod* am,
   return agg;
 }
 
-std::vector<Result<RouteUnitAggregate>> AggregateRouteUnitBatch(
-    AccessMethod* am, const std::vector<const RouteUnit*>& units) {
-  QuerySpan span(am->metrics(), "query.aggregate_batch");
-  std::vector<Result<RouteUnitAggregate>> results;
-  results.reserve(units.size());
-  for (const RouteUnit* unit : units) {
-    results.push_back(AggregateRouteUnit(am, *unit));
-  }
-  return results;
-}
-
-Result<TourEvalResult> EvaluateTour(AccessMethod* am, const Route& tour) {
+Result<TourEvalResult> EvaluateTour(NetworkReader* am, const Route& tour) {
   TourEvalResult result;
   if (tour.nodes.size() < 2) {
     return Status::InvalidArgument("a tour needs at least two nodes");
@@ -95,7 +84,7 @@ Result<TourEvalResult> EvaluateTour(AccessMethod* am, const Route& tour) {
 }
 
 Result<LocationAllocationResult> EvaluateLocationAllocation(
-    AccessMethod* am, const std::vector<NodeId>& facilities,
+    NetworkReader* am, const std::vector<NodeId>& facilities,
     const std::vector<NodeId>& demands) {
   LocationAllocationResult result;
   if (facilities.empty()) {

@@ -32,15 +32,8 @@ struct RouteUnitAggregate {
 
 /// Retrieves every node of the route-unit through the access method and
 /// folds the member edge costs. Missing nodes/edges fail with NotFound.
-Result<RouteUnitAggregate> AggregateRouteUnit(AccessMethod* am,
+Result<RouteUnitAggregate> AggregateRouteUnit(NetworkReader* am,
                                               const RouteUnit& unit);
-
-/// Region-batched entry point: aggregates `units` back-to-back under one
-/// "query.aggregate_batch" span, one Result per unit in input order (a
-/// per-unit failure fails only its own entry). Route-units anchored in one
-/// cluster share that cluster's pages out of the buffers across the batch.
-std::vector<Result<RouteUnitAggregate>> AggregateRouteUnitBatch(
-    AccessMethod* am, const std::vector<const RouteUnit*>& units);
 
 /// Tour evaluation (paper future work): evaluates a closed route (the last
 /// node must equal the first, or the closing edge must exist). Returns the
@@ -50,7 +43,7 @@ struct TourEvalResult {
   size_t num_edges = 0;
   uint64_t page_accesses = 0;
 };
-Result<TourEvalResult> EvaluateTour(AccessMethod* am, const Route& tour);
+Result<TourEvalResult> EvaluateTour(NetworkReader* am, const Route& tour);
 
 /// Location-allocation evaluation (paper future work): given candidate
 /// facility nodes, computes for each reachable demand node the distance
@@ -64,7 +57,7 @@ struct LocationAllocationResult {
   uint64_t page_accesses = 0;
 };
 Result<LocationAllocationResult> EvaluateLocationAllocation(
-    AccessMethod* am, const std::vector<NodeId>& facilities,
+    NetworkReader* am, const std::vector<NodeId>& facilities,
     const std::vector<NodeId>& demands);
 
 }  // namespace ccam

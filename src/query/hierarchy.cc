@@ -48,7 +48,7 @@ struct Direction {
 /// charged page accesses reflect distinct record touches, not relaxations.
 class RecordCache {
  public:
-  explicit RecordCache(AccessMethod* am) : am_(am) {}
+  explicit RecordCache(NetworkReader* am) : am_(am) {}
 
   Result<const HierarchyNodeRecord*> Get(NodeId id) {
     auto it = cache_.find(id);
@@ -61,7 +61,7 @@ class RecordCache {
   }
 
  private:
-  AccessMethod* am_;
+  NetworkReader* am_;
   std::unordered_map<NodeId, HierarchyNodeRecord> cache_;
 };
 
@@ -98,7 +98,7 @@ Status UnpackArc(RecordCache* cache, NodeId u, NodeId v, NodeId via,
 
 }  // namespace
 
-Result<SearchResult> ShortestPathCH(AccessMethod* am, NodeId src,
+Result<SearchResult> ShortestPathCH(NetworkReader* am, NodeId src,
                                     NodeId dst) {
   if (!am->HasHierarchy()) {
     return Status::NotSupported("access method has no hierarchy overlay");
@@ -225,17 +225,6 @@ Result<SearchResult> ShortestPathCH(AccessMethod* am, NodeId src,
     cur = pa.from;
   }
   return finish(result);
-}
-
-std::vector<Result<SearchResult>> ShortestPathCHBatch(
-    AccessMethod* am, const std::vector<std::pair<NodeId, NodeId>>& pairs) {
-  QuerySpan span(am->metrics(), "query.hierarchy_batch");
-  std::vector<Result<SearchResult>> results;
-  results.reserve(pairs.size());
-  for (const auto& [src, dst] : pairs) {
-    results.push_back(ShortestPathCH(am, src, dst));
-  }
-  return results;
 }
 
 }  // namespace ccam

@@ -21,15 +21,7 @@ namespace ccam {
 /// — long-distance queries touch orders of magnitude fewer pages than A*
 /// over the data file. Fails with NotSupported when `am` has no valid
 /// overlay (not built, or invalidated by a mutation).
-Result<SearchResult> ShortestPathCH(AccessMethod* am, NodeId src, NodeId dst);
-
-/// Region-batched entry point: answers the origin/destination pairs
-/// back-to-back under one "query.hierarchy_batch" span, one Result per
-/// pair in input order (a per-pair failure fails only its own entry).
-/// Every CH query climbs through the same top-of-hierarchy overlay pages,
-/// so a batch re-reads them from the overlay pool instead of per query.
-std::vector<Result<SearchResult>> ShortestPathCHBatch(
-    AccessMethod* am, const std::vector<std::pair<NodeId, NodeId>>& pairs);
+Result<SearchResult> ShortestPathCH(NetworkReader* am, NodeId src, NodeId dst);
 
 }  // namespace ccam
 

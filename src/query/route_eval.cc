@@ -5,7 +5,7 @@
 
 namespace ccam {
 
-Result<RouteEvalResult> EvaluateRoute(AccessMethod* am, const Route& route) {
+Result<RouteEvalResult> EvaluateRoute(NetworkReader* am, const Route& route) {
   RouteEvalResult result;
   if (route.nodes.empty()) return result;
   QuerySpan span(am->metrics(), "query.route_eval");
@@ -32,18 +32,7 @@ Result<RouteEvalResult> EvaluateRoute(AccessMethod* am, const Route& route) {
   return result;
 }
 
-std::vector<Result<RouteEvalResult>> EvaluateRouteBatch(
-    AccessMethod* am, const std::vector<const Route*>& routes) {
-  QuerySpan span(am->metrics(), "query.route_eval_batch");
-  std::vector<Result<RouteEvalResult>> results;
-  results.reserve(routes.size());
-  for (const Route* route : routes) {
-    results.push_back(EvaluateRoute(am, *route));
-  }
-  return results;
-}
-
-Result<double> MeanRouteEvalAccesses(AccessMethod* am,
+Result<double> MeanRouteEvalAccesses(NetworkReader* am,
                                      const std::vector<Route>& routes) {
   if (routes.empty()) return 0.0;
   uint64_t total = 0;

@@ -24,22 +24,12 @@ struct RouteEvalResult {
 /// costs are read from the successor-lists, so a high CRR means most hops
 /// cost no I/O. Fails with NotFound when the route uses a missing node or
 /// edge.
-Result<RouteEvalResult> EvaluateRoute(AccessMethod* am, const Route& route);
+Result<RouteEvalResult> EvaluateRoute(NetworkReader* am, const Route& route);
 
 /// Evaluates a batch of routes and returns the mean page accesses per
 /// route — the quantity plotted in the paper's Figure 6.
-Result<double> MeanRouteEvalAccesses(AccessMethod* am,
+Result<double> MeanRouteEvalAccesses(NetworkReader* am,
                                      const std::vector<Route>& routes);
-
-/// Region-batched entry point: evaluates `routes` back-to-back under one
-/// "query.route_eval_batch" span, returning one Result per route in input
-/// order. A per-route failure (missing node or edge) fails only its own
-/// entry, never the rest of the batch. The serving layer groups concurrent
-/// requests whose origin nodes share a data page and calls this with that
-/// page pinned, so the batch's hot pages are fetched once and every
-/// subsequent route reads them as buffer hits.
-std::vector<Result<RouteEvalResult>> EvaluateRouteBatch(
-    AccessMethod* am, const std::vector<const Route*>& routes);
 
 }  // namespace ccam
 

@@ -187,7 +187,7 @@ struct SearchCounters {
 
 /// Shared best-first search; `heuristic_weight` < 0 disables the heuristic
 /// (plain Dijkstra).
-Result<SearchResult> BestFirst(AccessMethod* am, NodeId src, NodeId dst,
+Result<SearchResult> BestFirst(NetworkReader* am, NodeId src, NodeId dst,
                                double heuristic_weight) {
   SearchResult result;
   QuerySpan span(am->metrics(), "query.search");
@@ -256,30 +256,18 @@ Result<SearchResult> BestFirst(AccessMethod* am, NodeId src, NodeId dst,
 
 }  // namespace
 
-Result<SearchResult> ShortestPathDijkstra(AccessMethod* am, NodeId src,
+Result<SearchResult> ShortestPathDijkstra(NetworkReader* am, NodeId src,
                                           NodeId dst) {
   return BestFirst(am, src, dst, -1.0);
 }
 
-Result<SearchResult> ShortestPathAStar(AccessMethod* am, NodeId src,
+Result<SearchResult> ShortestPathAStar(NetworkReader* am, NodeId src,
                                        NodeId dst, double heuristic_weight) {
   return BestFirst(am, src, dst, heuristic_weight);
 }
 
-std::vector<Result<SearchResult>> ShortestPathAStarBatch(
-    AccessMethod* am, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    double heuristic_weight) {
-  QuerySpan span(am->metrics(), "query.astar_batch");
-  std::vector<Result<SearchResult>> results;
-  results.reserve(pairs.size());
-  for (const auto& [src, dst] : pairs) {
-    results.push_back(BestFirst(am, src, dst, heuristic_weight));
-  }
-  return results;
-}
-
 Result<MultiSourceResult> MultiSourceDistances(
-    AccessMethod* am, const std::vector<NodeId>& sources) {
+    NetworkReader* am, const std::vector<NodeId>& sources) {
   MultiSourceResult result;
   QuerySpan span(am->metrics(), "query.search");
   SearchCounters counters(am->metrics());

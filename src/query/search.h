@@ -22,24 +22,15 @@ struct SearchResult {
 /// (the paper's motivating use of the operation in graph search). Every
 /// record access goes through the access method, so the returned
 /// `page_accesses` reflects the clustering quality.
-Result<SearchResult> ShortestPathDijkstra(AccessMethod* am, NodeId src,
+Result<SearchResult> ShortestPathDijkstra(NetworkReader* am, NodeId src,
                                           NodeId dst);
 
 /// A* with a Euclidean-distance heuristic scaled by `heuristic_weight`
 /// (the generators produce edge costs ~ distance * U(1-s, 1+s); a weight
 /// of 1-s keeps the heuristic admissible).
-Result<SearchResult> ShortestPathAStar(AccessMethod* am, NodeId src,
+Result<SearchResult> ShortestPathAStar(NetworkReader* am, NodeId src,
                                        NodeId dst,
                                        double heuristic_weight = 0.7);
-
-/// Region-batched entry point: runs the origin/destination pairs
-/// back-to-back under one "query.astar_batch" span, returning one Result
-/// per pair in input order (a per-pair failure fails only its own entry).
-/// Batched searches that start from one region re-expand that region's
-/// pages out of the shared buffers instead of re-reading them per query.
-std::vector<Result<SearchResult>> ShortestPathAStarBatch(
-    AccessMethod* am, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    double heuristic_weight = 0.7);
 
 /// Multi-source Dijkstra: shortest distance from any of `sources` to every
 /// reachable node. Returns (node, distance) pairs and charges the I/O to
@@ -49,7 +40,7 @@ struct MultiSourceResult {
   uint64_t page_accesses = 0;
 };
 Result<MultiSourceResult> MultiSourceDistances(
-    AccessMethod* am, const std::vector<NodeId>& sources);
+    NetworkReader* am, const std::vector<NodeId>& sources);
 
 }  // namespace ccam
 

@@ -27,7 +27,7 @@ uint64_t SpatialQueryEngine::CodeOf(double x, double y) const {
 }
 
 Result<std::unique_ptr<SpatialQueryEngine>> SpatialQueryEngine::Build(
-    AccessMethod* am) {
+    NetworkReader* am) {
   auto engine = std::unique_ptr<SpatialQueryEngine>(new SpatialQueryEngine());
   engine->am_ = am;
   engine->zdisk_ = std::make_unique<DiskManager>(1024);

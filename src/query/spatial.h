@@ -38,7 +38,7 @@ class SpatialQueryEngine {
   /// does not count toward later query I/O). The engine holds a pointer to
   /// `am`; the caller must keep it alive and must rebuild the engine after
   /// inserting or deleting nodes (or use Insert/Remove below).
-  static Result<std::unique_ptr<SpatialQueryEngine>> Build(AccessMethod* am);
+  static Result<std::unique_ptr<SpatialQueryEngine>> Build(NetworkReader* am);
 
   /// Keeps the indexes in sync with a node insert / delete.
   Status InsertNode(NodeId id, double x, double y);
@@ -75,7 +75,7 @@ class SpatialQueryEngine {
 
   uint64_t CodeOf(double x, double y) const;
 
-  AccessMethod* am_ = nullptr;
+  NetworkReader* am_ = nullptr;
   // Z-order B+ tree on its own simulated disk (index pages are "buffered"
   // per the cost model, but their I/O remains observable).
   std::unique_ptr<DiskManager> zdisk_;

@@ -9,7 +9,7 @@
 
 namespace ccam {
 
-Result<ReachabilityResult> ReachableFrom(AccessMethod* am, NodeId source,
+Result<ReachabilityResult> ReachableFrom(NetworkReader* am, NodeId source,
                                          int max_depth) {
   ReachabilityResult result;
   QuerySpan span(am->metrics(), "query.traversal");
@@ -41,7 +41,7 @@ Result<ReachabilityResult> ReachableFrom(AccessMethod* am, NodeId source,
 }
 
 Result<ClosureSample> SampleTransitiveClosure(
-    AccessMethod* am, const std::vector<NodeId>& sources, int max_depth) {
+    NetworkReader* am, const std::vector<NodeId>& sources, int max_depth) {
   ClosureSample sample;
   if (sources.empty()) return sample;
   size_t total_reachable = 0;
@@ -56,7 +56,7 @@ Result<ClosureSample> SampleTransitiveClosure(
   return sample;
 }
 
-Result<ComponentsResult> WeaklyConnectedComponents(AccessMethod* am) {
+Result<ComponentsResult> WeaklyConnectedComponents(NetworkReader* am) {
   ComponentsResult result;
   QuerySpan span(am->metrics(), "query.traversal");
   IoStats before = am->DataIoStats();

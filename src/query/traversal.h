@@ -20,7 +20,7 @@ struct ReachabilityResult {
   std::vector<NodeId> nodes;
   uint64_t page_accesses = 0;
 };
-Result<ReachabilityResult> ReachableFrom(AccessMethod* am, NodeId source,
+Result<ReachabilityResult> ReachableFrom(NetworkReader* am, NodeId source,
                                          int max_depth = -1);
 
 /// Per-source reachability counts for a sample of sources — the classic
@@ -31,7 +31,7 @@ struct ClosureSample {
   uint64_t page_accesses = 0;
 };
 Result<ClosureSample> SampleTransitiveClosure(
-    AccessMethod* am, const std::vector<NodeId>& sources, int max_depth = -1);
+    NetworkReader* am, const std::vector<NodeId>& sources, int max_depth = -1);
 
 /// Weakly-connected components of the stored network (successor and
 /// predecessor links both traversed). Returns one representative node id
@@ -40,7 +40,7 @@ struct ComponentsResult {
   std::vector<std::pair<NodeId, size_t>> components;  // (repr, size)
   uint64_t page_accesses = 0;
 };
-Result<ComponentsResult> WeaklyConnectedComponents(AccessMethod* am);
+Result<ComponentsResult> WeaklyConnectedComponents(NetworkReader* am);
 
 }  // namespace ccam
 

@@ -27,33 +27,17 @@ const char* ServeOpName(ServeOp op) {
   return "unknown";
 }
 
-int QueryService::DefaultWorkers(const BufferPool& pool) {
-  return static_cast<int>(
-      std::min(pool.num_shards(), pool.MinShardCapacity()));
-}
-
-uint64_t QueryService::NowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 QueryService::QueryService(NetworkFile* file,
                            const QueryServiceOptions& options)
-    : file_(file),
-      options_(options),
-      admission_(AdmissionController::Options{
-          options.max_queue_depth, options.max_tenant_depth,
-          options.tenant_rate, options.tenant_burst}) {
-  int n = options_.num_workers;
-  if (n <= 0) n = DefaultWorkers(*file_->buffer_pool());
-  StartWorkers(n);
-}
+    : QueryService(file, nullptr, options) {}
 
 QueryService::QueryService(SnapshotManager* manager,
                            const QueryServiceOptions& options)
-    : file_(nullptr),
+    : QueryService(nullptr, manager, options) {}
+
+QueryService::QueryService(NetworkFile* file, SnapshotManager* manager,
+                           const QueryServiceOptions& options)
+    : file_(file),
       manager_(manager),
       options_(options),
       admission_(AdmissionController::Options{
@@ -61,16 +45,14 @@ QueryService::QueryService(SnapshotManager* manager,
           options.tenant_rate, options.tenant_burst}) {
   int n = options_.num_workers;
   if (n <= 0) {
-    // Same rule as file mode, against the (current) version's pool. A
-    // throwaway probe session reads it — it lives and dies on this
-    // constructor thread.
-    auto probe = manager_->OpenSession();
-    n = DefaultWorkers(*probe->buffer_pool());
+    // One worker per pool shard, capped at the smallest shard's frames.
+    // The pool (in snapshot mode, the current version's) is read through
+    // a throwaway probe session that lives and dies on this thread.
+    auto probe = OpenSession();
+    const BufferPool* pool = probe->buffer_pool();
+    n = static_cast<int>(
+        std::min(pool->num_shards(), pool->MinShardCapacity()));
   }
-  StartWorkers(n);
-}
-
-void QueryService::StartWorkers(int n) {
   if (n < 1) n = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.retry_max_attempts < 1) options_.retry_max_attempts = 1;
@@ -83,11 +65,7 @@ void QueryService::StartWorkers(int n) {
     auto w = std::make_unique<Worker>();
     w->scheduler = DrrScheduler(options_.drr_quantum);
     w->rng = Random(options_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
-    if (file_ != nullptr) {
-      w->session = file_->OpenSession();
-    } else {
-      w->snap_session = manager_->OpenSession();
-    }
+    w->session = OpenSession();
     workers_.push_back(std::move(w));
   }
   pool_ = std::make_unique<ThreadPool>(n);
@@ -95,6 +73,10 @@ void QueryService::StartWorkers(int n) {
     Worker* wp = w.get();
     pool_->Submit([this, wp] { WorkerLoop(wp); });
   }
+}
+
+std::unique_ptr<ReadSession> QueryService::OpenSession() const {
+  return file_ != nullptr ? file_->OpenSession() : manager_->OpenSession();
 }
 
 QueryService::~QueryService() { Shutdown(/*drain=*/true); }
@@ -248,10 +230,7 @@ ServeTicketPtr QueryService::Submit(ServeRequest request) {
 void QueryService::WorkerLoop(Worker* worker) {
   // The service constructed this session on its own thread; the worker
   // adopts it here, at the single-threaded handoff.
-  if (worker->session != nullptr) worker->session->RebindToCurrentThread();
-  if (worker->snap_session != nullptr) {
-    worker->snap_session->RebindToCurrentThread();
-  }
+  worker->session->RebindToCurrentThread();
   std::vector<QueuedRequest> batch;
   const size_t cap = options_.region_batching ? options_.max_batch : 1;
   std::unique_lock<std::mutex> lock(worker->mu);
@@ -284,117 +263,75 @@ void QueryService::WorkerLoop(Worker* worker) {
       }
     }
     lock.unlock();
-    // Batch boundary: re-acquire the current snapshot version before
-    // executing. In-flight batches never migrate versions — the refresh
-    // happens strictly between batches, with no pins held — so a reader
-    // drains off a retired version one batch after a swap publishes.
-    if (worker->snap_session != nullptr) worker->snap_session->Refresh();
+    // Batch boundary: re-acquire the current snapshot version (if any)
+    // before executing. In-flight batches never migrate versions — the
+    // refresh happens strictly between batches, with no pins held — so a
+    // reader drains off a retired version one batch after a swap publishes.
+    worker->session->Refresh();
     ExecuteBatch(worker, &batch);
     lock.lock();
   }
 }
 
-void QueryService::SetSessionContext(Worker* worker, RequestContext* ctx) {
-  if (worker->session != nullptr) {
-    worker->session->SetRequestContext(ctx);
-  } else {
-    worker->snap_session->SetRequestContext(ctx);
+namespace {
+
+/// Runs one request through its single-query operator and fills `r`.
+void ExecuteOne(NetworkReader* reader, const ServeRequest& req,
+                ServeResponse* r) {
+  auto respond = [r](auto result, auto fill) {
+    if (result.ok()) {
+      fill(*result);
+    } else {
+      r->status = result.status();
+    }
+  };
+  // A* and CH answer the route's endpoints and fill the same fields.
+  auto path = [r](SearchResult& found) {
+    r->cost = found.cost;
+    r->num_edges = found.path.empty() ? 0 : found.path.size() - 1;
+    r->path = std::move(found.path);
+  };
+  const std::vector<NodeId>& nodes = req.route.nodes;
+  switch (req.op) {
+    case ServeOp::kRouteEval:
+      return respond(EvaluateRoute(reader, req.route),
+                     [r](const RouteEvalResult& eval) {
+                       r->cost = eval.total_cost;
+                       r->num_edges = eval.num_edges;
+                     });
+    case ServeOp::kAStar:
+      return respond(
+          ShortestPathAStar(reader, nodes.front(), nodes.back()), path);
+    case ServeOp::kHierarchy:
+      return respond(ShortestPathCH(reader, nodes.front(), nodes.back()),
+                     path);
+    case ServeOp::kAggregate:
+      return respond(AggregateRouteUnit(reader, req.unit),
+                     [r](const RouteUnitAggregate& agg) {
+                       r->cost = agg.total_edge_cost;
+                       r->num_edges = agg.num_edges;
+                     });
   }
 }
 
-void QueryService::ExecuteOps(AccessMethod* am,
-                              std::vector<QueuedRequest>* batch,
-                              const std::vector<size_t>& indices,
-                              std::vector<ServeResponse>* responses) {
-  std::vector<size_t> by_op[4];
-  for (size_t i : indices) {
-    by_op[static_cast<size_t>((*batch)[i].request.op)].push_back(i);
-  }
-
-  const std::vector<size_t>& route_idx =
-      by_op[static_cast<size_t>(ServeOp::kRouteEval)];
-  if (!route_idx.empty()) {
-    std::vector<const Route*> routes;
-    routes.reserve(route_idx.size());
-    for (size_t i : route_idx) routes.push_back(&(*batch)[i].request.route);
-    auto results = EvaluateRouteBatch(am, routes);
-    for (size_t k = 0; k < route_idx.size(); ++k) {
-      ServeResponse& r = (*responses)[route_idx[k]];
-      if (results[k].ok()) {
-        r.cost = results[k].value().total_cost;
-        r.num_edges = results[k].value().num_edges;
-      } else {
-        r.status = results[k].status();
-      }
-    }
-  }
-
-  const std::vector<size_t>& astar_idx =
-      by_op[static_cast<size_t>(ServeOp::kAStar)];
-  if (!astar_idx.empty()) {
-    std::vector<std::pair<NodeId, NodeId>> pairs;
-    pairs.reserve(astar_idx.size());
-    for (size_t i : astar_idx) {
-      const Route& route = (*batch)[i].request.route;
-      pairs.emplace_back(route.nodes.front(), route.nodes.back());
-    }
-    auto results = ShortestPathAStarBatch(am, pairs);
-    for (size_t k = 0; k < astar_idx.size(); ++k) {
-      ServeResponse& r = (*responses)[astar_idx[k]];
-      if (results[k].ok()) {
-        r.cost = results[k].value().cost;
-        r.num_edges = results[k].value().path.empty()
-                          ? 0
-                          : results[k].value().path.size() - 1;
-        r.path = std::move(results[k].value().path);
-      } else {
-        r.status = results[k].status();
-      }
-    }
-  }
-
-  const std::vector<size_t>& ch_idx =
-      by_op[static_cast<size_t>(ServeOp::kHierarchy)];
-  if (!ch_idx.empty()) {
-    std::vector<std::pair<NodeId, NodeId>> pairs;
-    pairs.reserve(ch_idx.size());
-    for (size_t i : ch_idx) {
-      const Route& route = (*batch)[i].request.route;
-      pairs.emplace_back(route.nodes.front(), route.nodes.back());
-    }
-    auto results = ShortestPathCHBatch(am, pairs);
-    for (size_t k = 0; k < ch_idx.size(); ++k) {
-      ServeResponse& r = (*responses)[ch_idx[k]];
-      if (results[k].ok()) {
-        r.cost = results[k].value().cost;
-        r.num_edges = results[k].value().path.empty()
-                          ? 0
-                          : results[k].value().path.size() - 1;
-        r.path = std::move(results[k].value().path);
-      } else {
-        r.status = results[k].status();
-      }
-    }
-  }
-
-  const std::vector<size_t>& agg_idx =
-      by_op[static_cast<size_t>(ServeOp::kAggregate)];
-  if (!agg_idx.empty()) {
-    std::vector<const RouteUnit*> units;
-    units.reserve(agg_idx.size());
-    for (size_t i : agg_idx) units.push_back(&(*batch)[i].request.unit);
-    auto results = AggregateRouteUnitBatch(am, units);
-    for (size_t k = 0; k < agg_idx.size(); ++k) {
-      ServeResponse& r = (*responses)[agg_idx[k]];
-      if (results[k].ok()) {
-        r.cost = results[k].value().total_edge_cost;
-        r.num_edges = results[k].value().num_edges;
-      } else {
-        r.status = results[k].status();
-      }
+/// Executes the requests at `indices` of `batch` op by op in ServeOp
+/// order — all route evaluations, then A*, CH and aggregates — each op's
+/// requests in arrival order, so same-op requests run back to back on the
+/// region's buffered pages. The lifecycle context (if any) is already
+/// attached to the session.
+void ExecuteOps(NetworkReader* reader, const std::vector<QueuedRequest>& batch,
+                const std::vector<size_t>& indices,
+                std::vector<ServeResponse>* responses) {
+  for (ServeOp op : {ServeOp::kRouteEval, ServeOp::kAStar,
+                     ServeOp::kHierarchy, ServeOp::kAggregate}) {
+    for (size_t i : indices) {
+      if (batch[i].request.op != op) continue;
+      ExecuteOne(reader, batch[i].request, &(*responses)[i]);
     }
   }
 }
+
+}  // namespace
 
 void QueryService::ExecuteBatch(Worker* worker,
                                 std::vector<QueuedRequest>* batch) {
@@ -440,7 +377,7 @@ void QueryService::ExecuteBatch(Worker* worker,
 
   const size_t n = batch->size();
   std::vector<ServeResponse> responses(n);
-  AccessMethod* am = SessionOf(worker);
+  ReadSession* session = worker->session.get();
 
   // Deadline-free requests execute with no context attached — exactly the
   // pre-lifecycle code path, so healthy traffic keeps serial-oracle
@@ -459,12 +396,16 @@ void QueryService::ExecuteBatch(Worker* worker,
       if (tightest == 0 || d < tightest) tightest = d;
     }
   }
-  if (!free_idx.empty()) ExecuteOps(am, batch, free_idx, &responses);
+  // Arms the worker's context on the session for `deadline`; 0 detaches.
+  auto arm = [&](int64_t deadline) {
+    if (deadline != 0) worker->ctx.Reset(deadline);
+    session->SetRequestContext(deadline != 0 ? &worker->ctx : nullptr);
+  };
+  if (!free_idx.empty()) ExecuteOps(session, *batch, free_idx, &responses);
   if (!dl_idx.empty()) {
-    worker->ctx.Reset(tightest);
-    SetSessionContext(worker, &worker->ctx);
-    ExecuteOps(am, batch, dl_idx, &responses);
-    SetSessionContext(worker, nullptr);
+    arm(tightest);
+    ExecuteOps(session, *batch, dl_idx, &responses);
+    arm(0);
   }
 
   // Retry retryable failures (transient transport faults) individually
@@ -473,7 +414,6 @@ void QueryService::ExecuteBatch(Worker* worker,
   // deadline passed or the service is stopping. Without faults no status
   // is retryable and this costs one branch per batch.
   if (options_.retry_max_attempts > 1) {
-    std::vector<size_t> one(1);
     for (size_t i = 0; i < n; ++i) {
       for (int attempt = 1; attempt < options_.retry_max_attempts &&
                             responses[i].status.IsRetryable();
@@ -490,13 +430,9 @@ void QueryService::ExecuteBatch(Worker* worker,
         n_retries_.fetch_add(1, std::memory_order_relaxed);
         if (m_retries_ != nullptr) m_retries_->Inc();
         responses[i] = ServeResponse();
-        one[0] = i;
-        if (deadline != 0) {
-          worker->ctx.Reset(deadline);
-          SetSessionContext(worker, &worker->ctx);
-        }
-        ExecuteOps(am, batch, one, &responses);
-        if (deadline != 0) SetSessionContext(worker, nullptr);
+        arm(deadline);
+        ExecuteOne(session, (*batch)[i].request, &responses[i]);
+        arm(0);
       }
     }
   }
@@ -585,26 +521,14 @@ void QueryService::Shutdown(bool drain) {
 
 IoStats QueryService::TotalSessionIoStats() const {
   IoStats total;
-  for (const auto& w : workers_) {
-    IoStats s = w->session != nullptr ? w->session->DataIoStats()
-                                      : w->snap_session->DataIoStats();
-    total.reads += s.reads;
-    total.writes += s.writes;
-    total.allocs += s.allocs;
-    total.frees += s.frees;
-  }
+  for (const auto& w : workers_) total = total + w->session->DataIoStats();
   return total;
 }
 
 IoStats QueryService::TotalSessionHierarchyIoStats() const {
   IoStats total;
   for (const auto& w : workers_) {
-    IoStats s = w->session != nullptr ? w->session->HierarchyIoStats()
-                                      : w->snap_session->HierarchyIoStats();
-    total.reads += s.reads;
-    total.writes += s.writes;
-    total.allocs += s.allocs;
-    total.frees += s.frees;
+    total = total + w->session->HierarchyIoStats();
   }
   return total;
 }

@@ -13,7 +13,7 @@
 #include "src/common/request_context.h"
 #include "src/common/thread_pool.h"
 #include "src/core/network_file.h"
-#include "src/core/query_session.h"
+#include "src/core/read_session.h"
 #include "src/storage/snapshot_manager.h"
 #include "src/serve/admission.h"
 #include "src/serve/circuit_breaker.h"
@@ -25,7 +25,7 @@ namespace serve {
 
 /// Tuning knobs of the query service.
 struct QueryServiceOptions {
-  /// Worker threads, each owning one QuerySession. 0 = the data buffer
+  /// Worker threads, each owning one ReadSession. 0 = the data buffer
   /// pool's shard count (one worker per pool shard, the natural affinity
   /// grain), capped at the frames of its smallest shard and floored at 1.
   /// An explicit count must not exceed BufferPool::MinShardCapacity():
@@ -78,7 +78,7 @@ struct QueryServiceOptions {
 };
 
 /// Multi-tenant serving front end over one read-only NetworkFile — the
-/// scaling step after the concurrent read path: where QuerySession made
+/// scaling step after the concurrent read path: where ReadSession made
 /// many threads *correct*, the service makes many *clients* efficient by
 /// exploiting CCAM's clustering across concurrent queries, so one hot
 /// page fetch serves many requests.
@@ -91,13 +91,13 @@ struct QueryServiceOptions {
 /// the buffer pool's page->shard map). Each worker drains its own
 /// deficit-round-robin scheduler: it pops the next tenant's request plus
 /// every queued request touching the same region (up to max_batch) and
-/// executes the batch through the drivers' batch entry points — so the
-/// region page fetch that the first request pays is a buffer hit for the
-/// rest. The worker pins nothing across requests: the operators' scoped
+/// executes the batch back to back through the single-query drivers — so
+/// the region page fetch that the first request pays is a buffer hit for
+/// the rest. The worker pins nothing across requests: the operators' scoped
 /// PageGuards keep it at one pinned frame at a time, which is what the
 /// num_workers bound relies on.
 ///
-/// Accounting: all reads go through the workers' QuerySessions, so the
+/// Accounting: all reads go through the workers' ReadSessions, so the
 /// paper's conservation invariant extends to the whole service — the sum
 /// of the workers' per-session IoStats equals the file's global disk
 /// reads (TotalSessionIoStats; verified by tests/serve_test.cc).
@@ -110,11 +110,11 @@ class QueryService {
  public:
   QueryService(NetworkFile* file, const QueryServiceOptions& options);
 
-  /// Serves a snapshot store instead of a single file: each worker owns a
-  /// SnapshotSession pinned to one published version, refreshed only at
-  /// batch boundaries — an in-flight batch keeps its version (and the
-  /// pages its operators pin) across a concurrent swap, which is exactly
-  /// the session-drain contract the reorganizer's retirement waits on.
+  /// Serves a snapshot store instead of a single file: each worker's
+  /// ReadSession pins one published version, refreshed only at batch
+  /// boundaries — an in-flight batch keeps its version (and the pages its
+  /// operators pin) across a concurrent swap, which is exactly the
+  /// session-drain contract the reorganizer's retirement waits on.
   /// Regions are stamped via SnapshotManager::RegionOf against the version
   /// current at submit time; after a swap a region may name a page id of
   /// the older layout, which degrades only batching affinity, never
@@ -179,10 +179,8 @@ class QueryService {
     std::mutex mu;
     std::condition_variable cv;
     DrrScheduler scheduler;
-    /// Exactly one of the two is set: `session` against a NetworkFile,
-    /// `snap_session` against a SnapshotManager.
-    std::unique_ptr<QuerySession> session;
-    std::unique_ptr<SnapshotSession> snap_session;
+    /// Reads the NetworkFile, or pins a version of the SnapshotManager.
+    std::unique_ptr<ReadSession> session;
     /// Lifecycle context re-stamped per batch (deadlined subsets execute
     /// under the tightest member deadline) and jitter stream for retry
     /// backoff. Worker-thread-only.
@@ -190,28 +188,20 @@ class QueryService {
     Random rng;
   };
 
-  /// Worker count for num_workers = 0 over the data pool `pool`.
-  static int DefaultWorkers(const BufferPool& pool);
-  void StartWorkers(int n);
+  /// Both public constructors: exactly one of `file`, `manager` is set.
+  QueryService(NetworkFile* file, SnapshotManager* manager,
+               const QueryServiceOptions& options);
+  /// A session over the file, or pinned to the store's current version.
+  std::unique_ptr<ReadSession> OpenSession() const;
   void WorkerLoop(Worker* worker);
   void ExecuteBatch(Worker* worker, std::vector<QueuedRequest>* batch);
-  /// Executes the requests at `indices` of `batch` through the drivers'
-  /// batch entry points, writing each result into `responses`. The
-  /// lifecycle context (if any) is already attached to the session.
-  void ExecuteOps(AccessMethod* am, std::vector<QueuedRequest>* batch,
-                  const std::vector<size_t>& indices,
-                  std::vector<ServeResponse>* responses);
-  /// Attaches/detaches the worker's RequestContext on its session.
-  void SetSessionContext(Worker* worker, RequestContext* ctx);
   void CancelBatch(std::vector<QueuedRequest>* batch, const char* why);
-  AccessMethod* SessionOf(Worker* worker) const {
-    return worker->session != nullptr
-               ? static_cast<AccessMethod*>(worker->session.get())
-               : static_cast<AccessMethod*>(worker->snap_session.get());
-  }
 
-  /// Microseconds on the steady clock (the service's common time base).
-  static uint64_t NowMicros();
+  /// Microseconds on the steady clock (the service's common time base;
+  /// the RequestContext deadline clock, unsigned).
+  static uint64_t NowMicros() {
+    return static_cast<uint64_t>(RequestContext::NowMicros());
+  }
 
   NetworkFile* file_;                   // null in snapshot mode
   SnapshotManager* manager_ = nullptr;  // null in file mode

@@ -21,7 +21,7 @@ struct ShardedRouteResult {
 /// minimal shard set of the route's nodes:
 ///
 ///  * single shard — dispatches the whole route straight to that shard's
-///    per-file QuerySession (the existing EvaluateRoute operator, zero
+///    per-file ReadSession (the existing EvaluateRoute operator, zero
 ///    facade overhead);
 ///  * multiple shards — splits the route into maximal single-shard runs
 ///    and evaluates each run on its owner shard. A run deliberately

@@ -31,14 +31,6 @@ uint64_t SubsetSeed(uint64_t base, const std::vector<NodeId>& nodes) {
 
 bool IsPowerOfTwo(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
-IoStats SumStats(IoStats a, const IoStats& b) {
-  a.reads += b.reads;
-  a.writes += b.writes;
-  a.allocs += b.allocs;
-  a.frees += b.frees;
-  return a;
-}
-
 }  // namespace
 
 ShardedNetworkFile::ShardedNetworkFile(const ShardedOptions& options)
@@ -293,7 +285,7 @@ Status ShardedNetworkFile::OpenImage(const std::string& path) {
 
 IoStats ShardedNetworkFile::DataIoStats() const {
   IoStats sum;
-  for (const auto& shard : shards_) sum = SumStats(sum, shard->DataIoStats());
+  for (const auto& shard : shards_) sum = sum + shard->DataIoStats();
   return sum;
 }
 
@@ -398,9 +390,7 @@ Result<std::vector<NodeRecord>> ShardedQuerySession::GetSuccessors(
 
 IoStats ShardedQuerySession::DataIoStats() const {
   IoStats sum;
-  for (const auto& session : sessions_) {
-    sum = SumStats(sum, session->DataIoStats());
-  }
+  for (const auto& session : sessions_) sum = sum + session->DataIoStats();
   return sum;
 }
 
@@ -410,10 +400,6 @@ IoStats ShardedQuerySession::ShardIoStats(uint32_t s) const {
 
 void ShardedQuerySession::ResetIoStats() {
   for (const auto& session : sessions_) session->ResetIoStats();
-}
-
-BufferPool* ShardedQuerySession::buffer_pool() {
-  return sessions_[0]->buffer_pool();
 }
 
 std::vector<NodeId> ShardedQuerySession::LiveNodeIds() const {

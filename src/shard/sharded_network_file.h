@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "src/core/ccam.h"
-#include "src/core/query_session.h"
+#include "src/core/read_session.h"
 #include "src/shard/shard_router.h"
 
 namespace ccam {
@@ -174,44 +174,26 @@ class ShardedNetworkFile {
   MetricsRegistry* metrics_ = nullptr;
 };
 
-/// A read-only query stream over a ShardedNetworkFile, implementing the
-/// AccessMethod interface so every existing query driver (route
-/// evaluation, A*, traversals, aggregation, the spatial engine) runs
-/// against a sharded file unchanged. Each call routes to the owning
-/// shard's QuerySession; per-shard accesses accumulate in that session
-/// and DataIoStats() returns their sum, so the sharded accounting sums
-/// exactly to the unsharded baseline on a 1-shard configuration.
+/// A read-only query stream over a ShardedNetworkFile: a NetworkReader, so
+/// every existing query driver (route evaluation, A*, traversals,
+/// aggregation, the spatial engine) runs against a sharded file unchanged.
+/// Each call routes to the owning shard's ReadSession; per-shard accesses
+/// accumulate in that session and DataIoStats() returns their sum, so the
+/// sharded accounting sums exactly to the unsharded baseline on a 1-shard
+/// configuration.
 ///
 /// Concurrency contract: one sharded session per thread (it wraps one
-/// per-shard QuerySession each, which bind to the first reading thread).
-/// Sessions never run concurrently with mutations — shard files are
-/// read-only anyway.
-class ShardedQuerySession : public AccessMethod {
+/// per-shard ReadSession each, which bind to the first reading thread).
+/// Shard files are read-only, so no mutation can race the reads.
+class ShardedQuerySession : public NetworkReader {
  public:
   explicit ShardedQuerySession(ShardedNetworkFile* file);
 
   std::string Name() const override;
 
-  Status Create(const Network&) override {
-    return Status::NotSupported("read-only sharded session");
-  }
-
   Result<NodeRecord> Find(NodeId id) override;
   Result<NodeRecord> GetASuccessor(NodeId from, NodeId to) override;
   Result<std::vector<NodeRecord>> GetSuccessors(NodeId id) override;
-
-  Status InsertNode(const NodeRecord&, ReorgPolicy) override {
-    return Status::NotSupported("read-only sharded session");
-  }
-  Status DeleteNode(NodeId, ReorgPolicy) override {
-    return Status::NotSupported("read-only sharded session");
-  }
-  Status InsertEdge(NodeId, NodeId, float, ReorgPolicy) override {
-    return Status::NotSupported("read-only sharded session");
-  }
-  Status DeleteEdge(NodeId, NodeId, ReorgPolicy) override {
-    return Status::NotSupported("read-only sharded session");
-  }
 
   /// Sum of this stream's per-shard session counters.
   IoStats DataIoStats() const override;
@@ -220,11 +202,6 @@ class ShardedQuerySession : public AccessMethod {
   void ResetIoStats() override;
 
   const NodePageMap& PageMap() const override { return file_->PageMap(); }
-  /// Shard 0's pool (interface requirement; per-shard pools are reached
-  /// through shard_session(s)->buffer_pool()).
-  BufferPool* buffer_pool() override;
-  bool LastOpChangedStructure() const override { return false; }
-  size_t NumDataPages() const override { return file_->NumDataPages(); }
 
   /// Owned nodes only (ascending): halo copies must not be visible as
   /// live nodes or spatial builds and component sweeps would double-count
@@ -242,7 +219,7 @@ class ShardedQuerySession : public AccessMethod {
 
   /// The underlying per-shard session (the single-shard fast path
   /// dispatches existing per-file operators straight at one of these).
-  QuerySession* shard_session(uint32_t s) { return sessions_[s].get(); }
+  ReadSession* shard_session(uint32_t s) { return sessions_[s].get(); }
   const ShardRouter& router() const { return file_->router(); }
   ShardedNetworkFile* file() const { return file_; }
 
@@ -253,7 +230,7 @@ class ShardedQuerySession : public AccessMethod {
 
  private:
   ShardedNetworkFile* file_;
-  std::vector<std::unique_ptr<QuerySession>> sessions_;
+  std::vector<std::unique_ptr<ReadSession>> sessions_;
   RequestContext* ctx_ = nullptr;
   uint64_t cut_crossings_ = 0;
   MetricCounter* m_crossings_ = nullptr;

@@ -28,6 +28,12 @@ struct IoStats {
             sub(a.allocs, b.allocs), sub(a.frees, b.frees)};
   }
 
+  /// Field-wise sum: the total of several streams' counters.
+  friend IoStats operator+(const IoStats& a, const IoStats& b) {
+    return {a.reads + b.reads, a.writes + b.writes, a.allocs + b.allocs,
+            a.frees + b.frees};
+  }
+
   friend bool operator==(const IoStats& a, const IoStats& b) {
     return a.reads == b.reads && a.writes == b.writes &&
            a.allocs == b.allocs && a.frees == b.frees;

@@ -70,95 +70,6 @@ size_t SnapshotVersion::NumLiveNodes() const {
   return n;
 }
 
-// --- SnapshotSession --------------------------------------------------------
-
-void SnapshotSession::Refresh() {
-  DebugCheckThread();
-  if (manager_->CurrentVersionId() == version_->id()) return;
-  std::shared_ptr<SnapshotVersion> next = manager_->Acquire();
-  manager_->Release(version_);
-  version_ = std::move(next);
-}
-
-Result<NodeRecord> SnapshotSession::Find(NodeId id) {
-  DebugCheckThread();
-  if (ctx_ != nullptr) CCAM_RETURN_NOT_OK(ctx_->Check());
-  std::optional<NodeRecord> overlay;
-  if (version_->OverlayLookup(id, &overlay)) {
-    if (!overlay.has_value()) {
-      return Status::NotFound("node " + std::to_string(id));
-    }
-    return *overlay;
-  }
-  return version_->file()->SharedFind(id, &io_);
-}
-
-Result<NodeRecord> SnapshotSession::GetASuccessor(NodeId from, NodeId to) {
-  DebugCheckThread();
-  if (ctx_ != nullptr) CCAM_RETURN_NOT_OK(ctx_->Check());
-  std::optional<NodeRecord> overlay;
-  if (version_->OverlayLookup(to, &overlay)) {
-    if (!overlay.has_value()) {
-      return Status::NotFound("node " + std::to_string(to));
-    }
-    return *overlay;
-  }
-  return version_->file()->SharedGetASuccessor(from, to, &io_);
-}
-
-Result<std::vector<NodeRecord>> SnapshotSession::GetSuccessors(NodeId id) {
-  DebugCheckThread();
-  if (ctx_ != nullptr) CCAM_RETURN_NOT_OK(ctx_->Check());
-  std::optional<NodeRecord> overlay;
-  if (version_->OverlayLookup(id, &overlay)) {
-    if (!overlay.has_value()) {
-      return Status::NotFound("node " + std::to_string(id));
-    }
-    // The anchor node mutated since this version published: its overlay
-    // record carries the authoritative successor list. Resolve each
-    // successor overlay-first; the base file serves the unchanged ones.
-    std::vector<NodeRecord> out;
-    out.reserve(overlay->succ.size());
-    for (const AdjEntry& e : overlay->succ) {
-      std::optional<NodeRecord> succ_overlay;
-      if (version_->OverlayLookup(e.node, &succ_overlay)) {
-        if (!succ_overlay.has_value()) {
-          // Deleting e.node would have rewritten id's overlay record to
-          // drop the edge; a tombstoned successor is a broken overlay.
-          return Status::Corruption("snapshot overlay: successor " +
-                                    std::to_string(e.node) + " of node " +
-                                    std::to_string(id) + " is tombstoned");
-        }
-        out.push_back(*succ_overlay);
-      } else {
-        auto rec = version_->file()->SharedFind(e.node, &io_);
-        if (!rec.ok()) return rec.status();
-        out.push_back(std::move(*rec));
-      }
-    }
-    return out;
-  }
-  // Anchor unchanged: its base successor list is current (any edge change
-  // involving id would have patched id into the overlay). Individual
-  // successor *records* may still have mutated — substitute those.
-  auto base = version_->file()->SharedGetSuccessors(id, &io_);
-  if (!base.ok()) return base;
-  if (version_->OverlaySize() != 0) {
-    for (NodeRecord& rec : *base) {
-      std::optional<NodeRecord> succ_overlay;
-      if (version_->OverlayLookup(rec.id, &succ_overlay)) {
-        if (!succ_overlay.has_value()) {
-          return Status::Corruption("snapshot overlay: successor " +
-                                    std::to_string(rec.id) + " of node " +
-                                    std::to_string(id) + " is tombstoned");
-        }
-        rec = *succ_overlay;
-      }
-    }
-  }
-  return base;
-}
-
 // --- SnapshotManager: lifecycle --------------------------------------------
 
 SnapshotManager::SnapshotManager(const SnapshotOptions& options)
@@ -560,8 +471,8 @@ Status SnapshotManager::DeleteEdge(NodeId u, NodeId v) {
 
 // --- SnapshotManager: sessions ---------------------------------------------
 
-std::unique_ptr<SnapshotSession> SnapshotManager::OpenSession() {
-  return std::make_unique<SnapshotSession>(this);
+std::unique_ptr<ReadSession> SnapshotManager::OpenSession() {
+  return std::make_unique<ReadSession>(this);
 }
 
 std::shared_ptr<SnapshotVersion> SnapshotManager::Acquire() {
@@ -862,7 +773,7 @@ Status SnapshotManager::CheckConsistency() {
     if (current_->OverlayLookup(id, &overlay)) {
       got = std::move(overlay);
     } else {
-      auto rec = current_->file()->SharedFind(id, nullptr);
+      auto rec = current_->file()->ReadRecord(id);
       if (!rec.ok()) return rec.status();
       got = std::move(*rec);
     }

@@ -2,7 +2,6 @@
 #define CCAM_STORAGE_SNAPSHOT_MANAGER_H_
 
 #include <atomic>
-#include <cassert>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -16,16 +15,15 @@
 
 #include "src/common/fault_injector.h"
 #include "src/common/metrics.h"
-#include "src/common/request_context.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/core/ccam.h"
+#include "src/core/read_session.h"
 #include "src/storage/delta_log.h"
 
 namespace ccam {
 
 class SnapshotManager;
-class SnapshotSession;
 
 /// One immutable published image of the network plus the in-memory overlay
 /// of mutations logged against it since it was published. The base file is
@@ -162,9 +160,9 @@ class SnapshotManager {
   Status DeleteEdge(NodeId u, NodeId v);
 
   /// Opens a read session pinned to the current version. One session per
-  /// thread, like QuerySession; any number of sessions run concurrently
-  /// with mutations and reorganizations.
-  std::unique_ptr<SnapshotSession> OpenSession();
+  /// thread; any number of sessions run concurrently with mutations and
+  /// reorganizations.
+  std::unique_ptr<ReadSession> OpenSession();
 
   /// --- Reorganization ----------------------------------------------------
   /// Builds and publishes a fully reclustered next version synchronously.
@@ -246,7 +244,7 @@ class SnapshotManager {
   static Status ApplyMutation(Network* net, const DeltaRecord& record);
 
  private:
-  friend class SnapshotSession;
+  friend class ReadSession;
 
   explicit SnapshotManager(const SnapshotOptions& options);
 
@@ -331,125 +329,6 @@ class SnapshotManager {
   MetricCounter* m_mutations_ = nullptr;
   MetricGauge* g_live_versions_ = nullptr;
   MetricHistogram* h_build_us_ = nullptr;
-};
-
-/// A read-only query stream over a SnapshotManager, pinned to one version.
-/// Implements AccessMethod so every query driver runs against it
-/// unchanged. Reads resolve through the pinned version's overlay first
-/// (the in-memory mutation delta — no page I/O) and fall through to the
-/// base image's thread-safe shared read path, charged to this session's
-/// IoStats exactly like QuerySession. With an empty overlay the session
-/// is I/O-for-I/O identical to a QuerySession on the base file — the
-/// bit-identical-accounting guarantee tests/snapshot_swap_test.cc gates.
-///
-/// The session holds its version until Refresh() re-acquires the current
-/// one: queries in flight never migrate between versions, an in-progress
-/// batch keeps its page pins valid across a concurrent swap, and a
-/// long-lived session simply keeps reading its (frozen) snapshot.
-///
-/// Concurrency contract: one session per thread, like QuerySession (same
-/// debug-build thread binding; RebindToCurrentThread at handoffs).
-class SnapshotSession : public AccessMethod {
- public:
-  explicit SnapshotSession(SnapshotManager* manager)
-      : manager_(manager), version_(manager->Acquire()) {}
-
-  ~SnapshotSession() override { manager_->Release(version_); }
-
-  SnapshotSession(const SnapshotSession&) = delete;
-  SnapshotSession& operator=(const SnapshotSession&) = delete;
-
-  std::string Name() const override {
-    return version_->file()->Name() + "/snapshot-session";
-  }
-
-  /// Re-acquires the current version when it changed. Call only between
-  /// queries (no pins or in-flight reads); per-session IoStats accumulate
-  /// across refreshes.
-  void Refresh();
-
-  uint64_t version_id() const { return version_->id(); }
-  SnapshotVersion* version() const { return version_.get(); }
-
-  Status Create(const Network&) override {
-    return Status::NotSupported("read-only snapshot session");
-  }
-
-  Result<NodeRecord> Find(NodeId id) override;
-  Result<NodeRecord> GetASuccessor(NodeId from, NodeId to) override;
-  Result<std::vector<NodeRecord>> GetSuccessors(NodeId id) override;
-
-  Status InsertNode(const NodeRecord&, ReorgPolicy) override {
-    return Status::NotSupported("read-only snapshot session");
-  }
-  Status DeleteNode(NodeId, ReorgPolicy) override {
-    return Status::NotSupported("read-only snapshot session");
-  }
-  Status InsertEdge(NodeId, NodeId, float, ReorgPolicy) override {
-    return Status::NotSupported("read-only snapshot session");
-  }
-  Status DeleteEdge(NodeId, NodeId, ReorgPolicy) override {
-    return Status::NotSupported("read-only snapshot session");
-  }
-
-  IoStats DataIoStats() const override { return io_; }
-  void ResetIoStats() override { io_ = IoStats{}; }
-
-  const NodePageMap& PageMap() const override {
-    return version_->file()->PageMap();
-  }
-  BufferPool* buffer_pool() override {
-    return version_->file()->buffer_pool();
-  }
-  bool LastOpChangedStructure() const override { return false; }
-  size_t NumDataPages() const override {
-    return version_->file()->NumDataPages();
-  }
-
-  std::vector<NodeId> LiveNodeIds() const override {
-    return version_->LiveNodeIds();
-  }
-  size_t NumLiveNodes() const override { return version_->NumLiveNodes(); }
-
-  MetricsRegistry* metrics() const override { return manager_->metrics(); }
-
-  /// Page pinning identical to QuerySession::PinDataPage but against the
-  /// pinned version's pool.
-  PageGuard PinDataPage(PageId id) {
-    DebugCheckThread();
-    return PageGuard(version_->file()->buffer_pool(), id, &io_);
-  }
-
-  /// Lifecycle context for reads through this session, exactly like
-  /// QuerySession::SetRequestContext: not owned, nullptr = checks off.
-  void SetRequestContext(RequestContext* ctx) { ctx_ = ctx; }
-  RequestContext* request_context() const override { return ctx_; }
-
-  void RebindToCurrentThread() {
-#ifndef NDEBUG
-    bound_thread_ = std::this_thread::get_id();
-#endif
-  }
-
- private:
-  void DebugCheckThread() {
-#ifndef NDEBUG
-    if (bound_thread_ == std::thread::id()) {
-      bound_thread_ = std::this_thread::get_id();
-    }
-    assert(bound_thread_ == std::this_thread::get_id() &&
-           "SnapshotSession used from two threads: open one session per "
-           "thread (or RebindToCurrentThread() at a handoff)");
-#endif
-  }
-
-  SnapshotManager* manager_;
-  std::shared_ptr<SnapshotVersion> version_;
-  RequestContext* ctx_ = nullptr;  // not owned; null = lifecycle checks off
-  IoStats io_;  // per-session: the session is single-threaded by contract
-#ifndef NDEBUG
-  std::thread::id bound_thread_{};
-#endif
 };
 
 }  // namespace ccam

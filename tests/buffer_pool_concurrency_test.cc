@@ -1,4 +1,4 @@
-// Hammers one sharded BufferPool (and the QuerySession read path above
+// Hammers one sharded BufferPool (and the ReadSession read path above
 // it) from many threads. Run under ThreadSanitizer via the CCAM_TSAN
 // build (scripts/check_tsan.sh): the assertions here check counter
 // conservation and pin accounting; TSan checks the latching.
@@ -8,13 +8,14 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/fault_injector.h"
 #include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/core/ccam.h"
-#include "src/core/query_session.h"
+#include "src/core/read_session.h"
 #include "src/graph/generator.h"
 #include "src/graph/route.h"
 #include "src/query/route_eval.h"
@@ -229,7 +230,7 @@ TEST(BufferPoolConcurrencyTest, FaultActiveHammerConservesState) {
   }
 }
 
-class QuerySessionTest : public ::testing::Test {
+class ReadSessionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     net_ = GenerateMinneapolisLikeMap(1995);
@@ -247,7 +248,7 @@ class QuerySessionTest : public ::testing::Test {
   std::vector<Route> routes_;
 };
 
-TEST_F(QuerySessionTest, SessionAccountingMatchesDirectSingleThread) {
+TEST_F(ReadSessionTest, SessionAccountingMatchesDirectSingleThread) {
   // A single-threaded session must report exactly the same per-route
   // data-page accesses as querying the file directly (same pool state).
   std::vector<uint64_t> direct;
@@ -271,18 +272,18 @@ TEST_F(QuerySessionTest, SessionAccountingMatchesDirectSingleThread) {
   EXPECT_EQ(session->DataIoStats().writes, 0u);
 }
 
-TEST_F(QuerySessionTest, ParallelSessionsConserveAccounting) {
+TEST_F(ReadSessionTest, ParallelSessionsConserveAccounting) {
   ASSERT_TRUE(am_->buffer_pool()->Reset().ok());
   am_->ResetIoStats();
   am_->buffer_pool()->ResetCounters();
 
-  std::vector<std::unique_ptr<QuerySession>> sessions;
+  std::vector<std::unique_ptr<ReadSession>> sessions;
   for (int t = 0; t < kThreads; ++t) sessions.push_back(am_->OpenSession());
   std::atomic<bool> failed{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      QuerySession* s = sessions[t].get();
+      ReadSession* s = sessions[t].get();
       for (size_t i = t; i < routes_.size(); i += kThreads) {
         auto res = EvaluateRoute(s, routes_[i]);
         if (!res.ok()) failed.store(true);
@@ -314,20 +315,10 @@ TEST_F(QuerySessionTest, ParallelSessionsConserveAccounting) {
   }
 }
 
-TEST_F(QuerySessionTest, SessionsRejectMutations) {
-  auto session = am_->OpenSession();
-  NodeRecord rec;
-  rec.id = 999999;
-  EXPECT_TRUE(session->InsertNode(rec, ReorgPolicy::kFirstOrder)
-                  .IsNotSupported());
-  EXPECT_TRUE(
-      session->DeleteNode(0, ReorgPolicy::kFirstOrder).IsNotSupported());
-  EXPECT_TRUE(session->InsertEdge(0, 1, 1.0f, ReorgPolicy::kFirstOrder)
-                  .IsNotSupported());
-  EXPECT_TRUE(
-      session->DeleteEdge(0, 1, ReorgPolicy::kFirstOrder).IsNotSupported());
-  EXPECT_TRUE(session->Create(net_).IsNotSupported());
-}
+// A session is read-only by type: it is a NetworkReader, never an
+// AccessMethod, so no mutation entry point is reachable through it.
+static_assert(std::is_base_of_v<NetworkReader, ReadSession>);
+static_assert(!std::is_base_of_v<AccessMethod, ReadSession>);
 
 }  // namespace
 }  // namespace ccam

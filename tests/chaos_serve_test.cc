@@ -31,7 +31,7 @@
 #include "src/common/metrics.h"
 #include "src/common/request_context.h"
 #include "src/core/ccam.h"
-#include "src/core/query_session.h"
+#include "src/core/read_session.h"
 #include "src/graph/generator.h"
 #include "src/query/route_eval.h"
 #include "src/query/search.h"
@@ -71,7 +71,7 @@ std::unique_ptr<Ccam> MakeFile(const Network& net, size_t page_size,
 
 // The serial oracle (same shape as serve_test.cc's): ground truth computed
 // on a healthy file before any fault is armed.
-ServeResponse Oracle(QuerySession* session, const ServeRequest& request) {
+ServeResponse Oracle(ReadSession* session, const ServeRequest& request) {
   ServeResponse response;
   switch (request.op) {
     case ServeOp::kRouteEval: {

@@ -184,7 +184,7 @@ TEST(DeltaLogRecoveryTest, StoreRecoveryUnderConcurrentReaderSession) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reader_errors{0};
   std::thread reader([&] {
-    std::unique_ptr<SnapshotSession> session = store->OpenSession();
+    std::unique_ptr<ReadSession> session = store->OpenSession();
     while (!stop.load(std::memory_order_acquire)) {
       for (NodeId id : ids) {
         auto rec = session->Find(id);
@@ -243,7 +243,7 @@ TEST(DeltaLogRecoveryTest, StoreRecoveryUnderConcurrentReaderSession) {
     auto reopened = SnapshotManager::Open(copt);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     EXPECT_EQ(fs::file_size(copy + "/delta.log"), keep);  // tail chopped
-    std::unique_ptr<SnapshotSession> session = (*reopened)->OpenSession();
+    std::unique_ptr<ReadSession> session = (*reopened)->OpenSession();
     for (size_t i = 0; i < acked.size(); ++i) {
       // GetASuccessor degenerates to a record read, so probe edge
       // presence the honest way: read the source node and scan its

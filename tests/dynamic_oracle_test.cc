@@ -271,7 +271,7 @@ INSTANTIATE_TEST_SUITE_P(PageSizes, DynamicOracleTest,
 // store (recovery = image + delta-log replay).
 
 // Full-state audit of the session-visible store against the oracle.
-void ExpectSessionMatchesOracle(SnapshotSession* session, const Network& net,
+void ExpectSessionMatchesOracle(ReadSession* session, const Network& net,
                                 const std::string& where) {
   ASSERT_EQ(session->LiveNodeIds(), net.NodeIds()) << where;
   for (NodeId id : net.NodeIds()) {
@@ -300,7 +300,7 @@ TEST(SnapshotOracleTest, NoDivergenceFromInMemoryReferenceAcrossReorgs) {
   auto created = SnapshotManager::Create(sopt, net);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   SnapshotManager* mgr = created->get();
-  std::unique_ptr<SnapshotSession> session = mgr->OpenSession();
+  std::unique_ptr<ReadSession> session = mgr->OpenSession();
 
   const int ops = EnvInt("CCAM_ORACLE_OPS", 1500);
   Random rng(1995 * 0x9e3779b97f4a7c15ULL + 1);
@@ -410,7 +410,7 @@ TEST(SnapshotOracleTest, NoDivergenceFromInMemoryReferenceAcrossReorgs) {
   created->reset();
   auto reopened = SnapshotManager::Open(sopt);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  std::unique_ptr<SnapshotSession> again = (*reopened)->OpenSession();
+  std::unique_ptr<ReadSession> again = (*reopened)->OpenSession();
   ExpectSessionMatchesOracle(again.get(), net, "reopened");
   ASSERT_TRUE((*reopened)->CheckConsistency().ok());
 }

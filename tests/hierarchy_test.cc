@@ -12,7 +12,7 @@
 
 #include "src/common/random.h"
 #include "src/core/ccam.h"
-#include "src/core/query_session.h"
+#include "src/core/read_session.h"
 #include "src/graph/generator.h"
 #include "src/query/hierarchy.h"
 #include "src/query/search.h"

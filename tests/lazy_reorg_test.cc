@@ -154,7 +154,7 @@ TEST(LazyReorgTest, SnapshotSwapRepairsCrrWithReadersOpen) {
   std::filesystem::remove_all(sopt.dir, ec);
   auto mgr = SnapshotManager::Create(sopt, base);
   ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
-  std::unique_ptr<SnapshotSession> session = (*mgr)->OpenSession();
+  std::unique_ptr<ReadSession> session = (*mgr)->OpenSession();
 
   // Insert the 15% stream: the nodes are visible immediately through the
   // overlay, but the *base* clustering predates them, so CRR over the

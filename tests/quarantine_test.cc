@@ -14,7 +14,7 @@
 #include "src/common/fault_injector.h"
 #include "src/common/metrics.h"
 #include "src/core/ccam.h"
-#include "src/core/query_session.h"
+#include "src/core/read_session.h"
 #include "src/graph/generator.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/disk_manager.h"

@@ -119,7 +119,7 @@ TEST(OnlineReorgTest, SnapshotSwapReclustersWithoutExclusiveAccess) {
   ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
 
   // A reader stays open across the whole reorganization.
-  std::unique_ptr<SnapshotSession> session = (*mgr)->OpenSession();
+  std::unique_ptr<ReadSession> session = (*mgr)->OpenSession();
   uint64_t v_before = session->version_id();
   NodeId probe = net.NodeIds().front();
   ASSERT_TRUE(session->Find(probe).ok());

@@ -6,13 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/ccam.h"
-#include "src/core/query_session.h"
+#include "src/core/read_session.h"
 #include "src/graph/generator.h"
 #include "src/query/aggregate.h"
 #include "src/query/hierarchy.h"
@@ -22,6 +28,7 @@
 #include "src/serve/loadgen.h"
 #include "src/serve/query_service.h"
 #include "src/serve/scheduler.h"
+#include "src/storage/snapshot_manager.h"
 
 namespace ccam {
 namespace {
@@ -56,6 +63,21 @@ std::unique_ptr<Ccam> MakeFile(const Network& net, size_t page_size,
   auto am = std::make_unique<Ccam>(options, CcamCreateMode::kStatic);
   EXPECT_TRUE(am->Create(net).ok());
   return am;
+}
+
+/// Options of a snapshot store over the same pages as MakeFile(net, 1024,
+/// 16, false), in a fresh per-process directory.
+SnapshotOptions StoreOptions(const std::string& leaf) {
+  SnapshotOptions sopt;
+  sopt.am.page_size = 1024;
+  sopt.am.buffer_pool_pages = 16;
+  sopt.am.num_threads = 1;
+  const char* tmp = std::getenv("TMPDIR");
+  sopt.dir = std::string(tmp != nullptr ? tmp : "/tmp") + "/" + leaf + "_" +
+             std::to_string(::getpid());
+  std::error_code ec;
+  std::filesystem::remove_all(sopt.dir, ec);
+  return sopt;
 }
 
 QueuedRequest MakeQueued(uint32_t tenant, PageId region) {
@@ -232,7 +254,7 @@ TEST(AdmissionControllerTest, ThreeGatesRejectTyped) {
 
 // --- Batched vs unbatched equivalence oracle -----------------------------
 
-serve::ServeResponse Oracle(QuerySession* session,
+serve::ServeResponse Oracle(ReadSession* session,
                             const ServeRequest& request) {
   ServeResponse response;
   switch (request.op) {
@@ -366,6 +388,98 @@ TEST(QueryServiceTest, BatchedMatchesSerialOracleAndConservesIo) {
   }
 }
 
+// Snapshot mode: each worker's ReadSession pins a store version. Results
+// match a serial oracle on a pinned session, mutation overlay included; a
+// pinned version has no hierarchy, so every CH request gets a typed
+// NotSupported; and the workers' reads sum to the version's disk reads.
+TEST(QueryServiceTest, SnapshotModeMatchesOracleAndRejectsHierarchy) {
+  Network net = TestNetwork();
+  SnapshotOptions sopt = StoreOptions("ccam_serve_snapshot_store");
+  auto created = SnapshotManager::Create(sopt, net);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<SnapshotManager> store = std::move(*created);
+
+  std::unique_ptr<ReadSession> probe = store->OpenSession();
+  NetworkFile* base = probe->file();
+  LoadgenOptions gen;
+  gen.tenants = 4;
+  gen.pool_size = 400;
+  gen.seed = 17;
+  std::vector<ServeRequest> pool = serve::BuildRequestPool(base, gen);
+  ASSERT_EQ(pool.size(), 400u);
+  // The loadgen draws no CH requests without an overlay; ask for the
+  // hierarchy on every A* pair too.
+  for (size_t i = 0; i < 400; ++i) {
+    if (pool[i].op != ServeOp::kAStar) continue;
+    pool.push_back(pool[i]);
+    pool.back().op = ServeOp::kHierarchy;
+  }
+
+  // Re-cost the first route evaluation's first edge: requests over it now
+  // read the endpoints' records from the version's overlay.
+  auto first = std::find_if(pool.begin(), pool.end(), [](const auto& r) {
+    return r.op == ServeOp::kRouteEval && r.route.nodes.size() >= 2;
+  });
+  ASSERT_NE(first, pool.end());
+  const NodeId u = first->route.nodes[0];
+  const NodeId v = first->route.nodes[1];
+  float cost = 0.0f;
+  for (const AdjEntry& e : net.node(u).succ) {
+    if (e.node == v) cost = e.cost;
+  }
+  ASSERT_TRUE(store->DeleteEdge(u, v).ok());
+  ASSERT_TRUE(store->InsertEdge(u, v, cost + 7.0f).ok());
+
+  std::vector<ServeResponse> expected;
+  size_t hierarchy = 0;
+  {
+    std::unique_ptr<ReadSession> session = store->OpenSession();
+    EXPECT_FALSE(session->HasHierarchy());
+    for (const ServeRequest& request : pool) {
+      expected.push_back(Oracle(session.get(), request));
+      if (request.op == ServeOp::kHierarchy) {
+        ++hierarchy;
+        EXPECT_TRUE(expected.back().status.IsNotSupported());
+      }
+    }
+  }
+  ASSERT_GT(hierarchy, 0u);
+  const IoStats disk_before = base->DataIoStats();
+
+  // The service (and its pinned worker sessions) must go before the store.
+  {
+    QueryServiceOptions options;
+    options.num_workers = 4;
+    options.max_queue_depth = 100000;
+    options.max_tenant_depth = 100000;
+    QueryService service(store.get(), options);
+    std::vector<ServeTicketPtr> tickets;
+    for (const ServeRequest& request : pool) {
+      tickets.push_back(service.Submit(request));
+    }
+    size_t mismatches = 0;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      const ServeResponse& got = tickets[i]->Wait();
+      const ServeResponse& want = expected[i];
+      if (got.status.code() != want.status.code() || got.cost != want.cost ||
+          got.num_edges != want.num_edges || got.path != want.path) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    service.Shutdown(/*drain=*/true);
+    EXPECT_EQ(service.GetStats().completed, pool.size());
+    EXPECT_EQ(service.TotalSessionIoStats().reads,
+              (base->DataIoStats() - disk_before).reads);
+    EXPECT_EQ(service.TotalSessionHierarchyIoStats().reads, 0u);
+  }
+
+  probe.reset();
+  store.reset();
+  std::error_code ec;
+  std::filesystem::remove_all(sopt.dir, ec);
+}
+
 // --- Fairness: a flooding tenant cannot starve a polite one --------------
 
 TEST(QueryServiceTest, FloodingTenantCannotStarvePoliteTenant) {
@@ -496,33 +610,64 @@ TEST(QueryServiceTest, OverloadAndShutdownCancellationHammer) {
 // --- One-session-per-thread debug assertion ------------------------------
 
 #ifndef NDEBUG
-TEST(QuerySessionDeathTest, SecondThreadTripsTheContractAssert) {
+/// Runs the thread-contract cases against both kinds of ReadSession: over
+/// a plain file (false) and pinned to a snapshot version (true).
+class ReadSessionDeathTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    net_ = TestNetwork();
+    if (!GetParam()) {
+      file_ = MakeFile(net_, 1024, /*pool_pages=*/16, /*overlay=*/false);
+      session_ = file_->OpenSession();
+      return;
+    }
+    SnapshotOptions sopt = StoreOptions("ccam_serve_contract_store");
+    auto store = SnapshotManager::Create(sopt, net_);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    store_ = std::move(*store);
+    session_ = store_->OpenSession();
+    // The pinned version lives in memory: dropping the files now leaves
+    // nothing behind, even when a death-test child aborts.
+    std::error_code ec;
+    std::filesystem::remove_all(sopt.dir, ec);
+  }
+
+  NodeId AnyNode() const { return session_->PageMap().begin()->first; }
+
+  Network net_;
+  std::unique_ptr<Ccam> file_;
+  std::unique_ptr<SnapshotManager> store_;
+  std::unique_ptr<ReadSession> session_;  // destroyed first
+};
+
+TEST_P(ReadSessionDeathTest, SecondThreadTripsTheContractAssert) {
+#ifdef GTEST_FLAG_SET
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  Network net = TestNetwork();
-  auto file = MakeFile(net, 1024, /*pool_pages=*/16, /*overlay=*/false);
-  auto session = file->OpenSession();
-  NodeId node = file->PageMap().begin()->first;
-  ASSERT_TRUE(session->Find(node).ok());  // binds to this thread
+#else  // GoogleTest before 1.12
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+#endif
+  NodeId node = AnyNode();
+  ASSERT_TRUE(session_->Find(node).ok());  // binds to this thread
   EXPECT_DEATH(
       {
-        std::thread other([&] { (void)session->Find(node); });
+        std::thread other([&] { (void)session_->Find(node); });
         other.join();
       },
       "one session per thread");
 }
 
-TEST(QuerySessionTest, RebindToCurrentThreadMovesTheBinding) {
-  Network net = TestNetwork();
-  auto file = MakeFile(net, 1024, /*pool_pages=*/16, /*overlay=*/false);
-  auto session = file->OpenSession();
-  NodeId node = file->PageMap().begin()->first;
-  ASSERT_TRUE(session->Find(node).ok());
+TEST_P(ReadSessionDeathTest, RebindToCurrentThreadMovesTheBinding) {
+  NodeId node = AnyNode();
+  ASSERT_TRUE(session_->Find(node).ok());
   std::thread worker([&] {
-    session->RebindToCurrentThread();  // deliberate single-threaded handoff
-    EXPECT_TRUE(session->Find(node).ok());
+    session_->RebindToCurrentThread();  // deliberate single-threaded handoff
+    EXPECT_TRUE(session_->Find(node).ok());
   });
   worker.join();
 }
+
+INSTANTIATE_TEST_SUITE_P(FileAndSnapshot, ReadSessionDeathTest,
+                         ::testing::Bool());
 #endif  // NDEBUG
 
 }  // namespace

@@ -8,7 +8,7 @@
 //    the shard counts), with the halo copies keeping every cross-cut hop
 //    local;
 //  * per-shard session IoStats must sum exactly to the shard disks' reads
-//    (the QuerySession conservation contract, lifted over the router);
+//    (the ReadSession conservation contract, lifted over the router);
 //  * the coarse split and the router must be a pure function of the input
 //    (identical across runs and thread counts);
 //  * 8 concurrent reader threads must keep results and the conservation
@@ -27,7 +27,7 @@
 
 #include "src/common/metrics.h"
 #include "src/core/ccam.h"
-#include "src/core/query_session.h"
+#include "src/core/read_session.h"
 #include "src/graph/generator.h"
 #include "src/graph/route.h"
 #include "src/query/search.h"

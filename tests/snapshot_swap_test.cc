@@ -81,7 +81,7 @@ TEST(SnapshotSwapTest, EightReadersAcrossFiftyBackToBackSwaps) {
       while (!stop.load(std::memory_order_acquire)) {
         // Sessions are thread-bound; each iteration opens a fresh one,
         // which also exercises acquire/release under concurrent swaps.
-        std::unique_ptr<SnapshotSession> session = store->OpenSession();
+        std::unique_ptr<ReadSession> session = store->OpenSession();
         std::vector<NodeId> ids = session->LiveNodeIds();
         if (ids.empty()) {
           ++failures;
@@ -148,11 +148,11 @@ TEST(SnapshotSwapTest, RetiredVersionsDrainAsSessionsClose) {
   ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
   SnapshotManager* store = mgr->get();
 
-  std::unique_ptr<SnapshotSession> s1 = store->OpenSession();
+  std::unique_ptr<ReadSession> s1 = store->OpenSession();
   ASSERT_TRUE(store->ReorganizeNow().ok());
-  std::unique_ptr<SnapshotSession> s2 = store->OpenSession();
+  std::unique_ptr<ReadSession> s2 = store->OpenSession();
   ASSERT_TRUE(store->ReorganizeNow().ok());
-  std::unique_ptr<SnapshotSession> s3 = store->OpenSession();
+  std::unique_ptr<ReadSession> s3 = store->OpenSession();
 
   EXPECT_EQ(s1->version_id(), 1u);
   EXPECT_EQ(s2->version_id(), 2u);
@@ -203,8 +203,8 @@ TEST(SnapshotSwapTest, GatedBuildKeepsReadsAndIoStatsBitIdentical) {
   (*busy)->GatePublish(true);
   ASSERT_TRUE((*busy)->StartBackgroundReorg().ok());
 
-  std::unique_ptr<SnapshotSession> qs = (*quiet)->OpenSession();
-  std::unique_ptr<SnapshotSession> bs = (*busy)->OpenSession();
+  std::unique_ptr<ReadSession> qs = (*quiet)->OpenSession();
+  std::unique_ptr<ReadSession> bs = (*busy)->OpenSession();
   ASSERT_TRUE((*busy)->ReorgActive());
 
   std::vector<NodeId> live = qs->LiveNodeIds();
@@ -253,10 +253,10 @@ TEST(SnapshotSwapTest, ReaderHoldingPagePinNeverBlocksSwap) {
   ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
   SnapshotManager* store = mgr->get();
 
-  std::unique_ptr<SnapshotSession> session = store->OpenSession();
+  std::unique_ptr<ReadSession> session = store->OpenSession();
   uint64_t v_before = session->version_id();
   PageId pinned = session->PageMap().begin()->second;
-  PageGuard guard = session->PinDataPage(pinned);
+  PageGuard guard(session->buffer_pool(), pinned, nullptr);
   ASSERT_TRUE(guard.ok()) << guard.status().ToString();
 
   // Same thread, pin held: if the swap needed the old version quiesced

@@ -22,7 +22,7 @@
 
 #include "src/common/metrics.h"
 #include "src/core/ccam.h"
-#include "src/core/query_session.h"
+#include "src/core/read_session.h"
 #include "src/graph/generator.h"
 #include "src/graph/route.h"
 #include "src/query/aggregate.h"
